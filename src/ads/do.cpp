@@ -1,6 +1,7 @@
 #include "ads/do.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 #include "ads/verify.h"
@@ -45,31 +46,49 @@ void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
   std::map<Bytes, Hash256, BytesLess> batch;  // key -> leaf, last write wins
   for (const auto& r : records) batch[r.key] = r.LeafHash();
 
-  std::vector<Bytes> keys;
-  std::vector<Hash256> leaves;
-  keys.reserve(keys_.size() + batch.size());
-  leaves.reserve(keys_.size() + batch.size());
+  // Keys ahead of the first insert are overwrites: in-place leaf writes.
+  std::vector<std::pair<size_t, Hash256>> overwrites;
   auto it = batch.begin();
-  for (size_t i = 0; i < keys_.size(); ++i) {
+  size_t splice = keys_.size();
+  for (; it != batch.end(); ++it) {
+    const size_t pos = LowerBound(it->first);
+    if (pos == keys_.size() || Compare(keys_[pos], it->first) != 0) {
+      splice = pos;
+      break;
+    }
+    overwrites.emplace_back(pos, it->second);
+  }
+  mirror_.SetLeaves(overwrites);
+  if (it == batch.end()) return;
+
+  // From the first insert on, every position shifts: merge the stored tail
+  // with the remaining batch keys and splice the merged leaves in.
+  std::vector<Bytes> tail_keys;
+  std::vector<Hash256> tail_leaves;
+  tail_keys.reserve(keys_.size() - splice + batch.size());
+  tail_leaves.reserve(keys_.size() - splice + batch.size());
+  for (size_t i = splice; i < keys_.size(); ++i) {
     while (it != batch.end() && Compare(it->first, keys_[i]) < 0) {
-      keys.push_back(it->first);
-      leaves.push_back(it->second);
+      tail_keys.push_back(it->first);
+      tail_leaves.push_back(it->second);
       ++it;
     }
     if (it != batch.end() && Compare(it->first, keys_[i]) == 0) {
-      leaves.push_back(it->second);
+      tail_leaves.push_back(it->second);
       ++it;
     } else {
-      leaves.push_back(mirror_.Leaf(i));
+      tail_leaves.push_back(mirror_.Leaf(i));
     }
-    keys.push_back(std::move(keys_[i]));
+    tail_keys.push_back(std::move(keys_[i]));
   }
   for (; it != batch.end(); ++it) {
-    keys.push_back(it->first);
-    leaves.push_back(it->second);
+    tail_keys.push_back(it->first);
+    tail_leaves.push_back(it->second);
   }
-  keys_ = std::move(keys);
-  mirror_.Rebuild(std::move(leaves));
+  keys_.resize(splice);
+  keys_.insert(keys_.end(), std::make_move_iterator(tail_keys.begin()),
+               std::make_move_iterator(tail_keys.end()));
+  mirror_.ReplaceSuffix(splice, tail_leaves);
 }
 
 Status AdsDo::VerifiedBatchPut(AdsSp& sp,

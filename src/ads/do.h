@@ -32,17 +32,21 @@ class AdsDo {
   Status VerifiedDelete(AdsSp& sp, ByteSpan key);
 
   /// Batch update: applies `records` (arrival order, last write per key
-  /// wins) to the local mirror and the SP with ONE tree rebuild each, then
-  /// compares roots. Skips the per-record SP pre-proofs — root equality
-  /// after the batch gives the same divergence detection, settled at the
-  /// batch boundary instead of per record.
+  /// wins) to the local mirror and the SP, then compares roots. Each side
+  /// rehashes only dirty paths: overwrites ahead of the first insert are
+  /// in-place leaf writes, and an insert splices the leaves from its
+  /// position onward (a full rebuild only when capacity grows). Skips the
+  /// per-record SP pre-proofs — root equality after the batch detects any
+  /// divergence of the SP's tree, settled at the batch boundary instead of
+  /// per record.
   Status VerifiedBatchPut(AdsSp& sp, const std::vector<FeedRecord>& records);
 
   /// Bootstrap load without SP round-trips (initial dataset).
   void UnverifiedPut(AdsSp& sp, const FeedRecord& record);
 
-  /// Bootstrap load of a whole dataset: one mirror rebuild + one SP rebuild
-  /// (the per-record UnverifiedPut loop rebuilds per mid-array insert).
+  /// Bootstrap load of a whole dataset into an empty DO: one mirror rebuild
+  /// + one SP rebuild (the per-record UnverifiedPut loop rebuilds per
+  /// mid-array insert).
   /// Produces the same tree as the loop — same leaves, same capacity.
   void BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records);
 

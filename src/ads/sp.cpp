@@ -1,6 +1,7 @@
 #include "ads/sp.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace grub::ads {
 
@@ -65,27 +66,58 @@ Result<Hash256> AdsSp::ApplyPut(const FeedRecord& record) {
 
 Result<Hash256> AdsSp::ApplyPutBatch(const std::vector<FeedRecord>& records) {
   if (records.empty()) return tree_.Root();
-  std::map<Bytes, FeedRecord, BytesLess> batch;
-  for (const auto& r : records) batch[r.key] = r;  // last write wins
+  std::map<Bytes, const FeedRecord*, BytesLess> batch;  // last write wins
+  for (const auto& r : records) batch[r.key] = &r;
 
-  std::vector<FeedRecord> merged;
-  merged.reserve(records_.size() + batch.size());
+  // Keys ahead of the first insert are overwrites: in-place record and leaf
+  // writes. Every received record is hashed here, never taken on trust.
+  std::vector<std::pair<size_t, Hash256>> overwrites;
   auto it = batch.begin();
-  for (auto& existing : records_) {
-    while (it != batch.end() && Compare(it->first, existing.key) < 0) {
-      merged.push_back(it->second);
-      ++it;
+  size_t splice = records_.size();
+  for (; it != batch.end(); ++it) {
+    const size_t pos = LowerBound(it->first);
+    if (pos == records_.size() || Compare(records_[pos].key, it->first) != 0) {
+      splice = pos;
+      break;
     }
-    if (it != batch.end() && Compare(it->first, existing.key) == 0) {
-      merged.push_back(it->second);
-      ++it;
-    } else {
-      merged.push_back(std::move(existing));
-    }
+    records_[pos] = *it->second;
+    overwrites.emplace_back(pos, it->second->LeafHash());
   }
-  for (; it != batch.end(); ++it) merged.push_back(it->second);
-  records_ = std::move(merged);
-  RebuildTree();
+  tree_.SetLeaves(overwrites);
+
+  if (it != batch.end()) {
+    // From the first insert on, every position shifts: merge the stored tail
+    // with the remaining batch records. Unchanged records keep the leaf hash
+    // the tree already holds.
+    std::vector<FeedRecord> tail;
+    std::vector<Hash256> tail_leaves;
+    tail.reserve(records_.size() - splice + batch.size());
+    tail_leaves.reserve(records_.size() - splice + batch.size());
+    for (size_t i = splice; i < records_.size(); ++i) {
+      while (it != batch.end() && Compare(it->first, records_[i].key) < 0) {
+        tail.push_back(*it->second);
+        tail_leaves.push_back(it->second->LeafHash());
+        ++it;
+      }
+      if (it != batch.end() && Compare(it->first, records_[i].key) == 0) {
+        tail.push_back(*it->second);
+        tail_leaves.push_back(it->second->LeafHash());
+        ++it;
+      } else {
+        tail.push_back(std::move(records_[i]));
+        tail_leaves.push_back(tree_.Leaf(i));
+      }
+    }
+    for (; it != batch.end(); ++it) {
+      tail.push_back(*it->second);
+      tail_leaves.push_back(it->second->LeafHash());
+    }
+    records_.erase(records_.begin() + static_cast<long>(splice),
+                   records_.end());
+    records_.insert(records_.end(), std::make_move_iterator(tail.begin()),
+                    std::make_move_iterator(tail.end()));
+    tree_.ReplaceSuffix(splice, tail_leaves);
+  }
   for (const auto& r : records) PersistRecord(r);
   return tree_.Root();
 }

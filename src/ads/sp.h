@@ -36,13 +36,17 @@ class AdsSp {
   Result<Hash256> ApplyPut(const FeedRecord& record);
 
   /// Applies a whole update batch (arrival order, last write per key wins)
-  /// with a single tree rebuild, and persists every record. Returns the new
-  /// root. The final tree is identical to applying the puts one by one —
-  /// Rebuild and incremental Append/SetLeaf agree on capacity (bit_ceil) and
-  /// leaves — just without the per-put O(n) mid-insert rebuilds.
+  /// and persists every record. Returns the new root. Overwrites ahead of
+  /// the first insert are in-place leaf writes; from the first insert on,
+  /// the shifted tail is spliced in, reusing the tree's leaf hashes for
+  /// unchanged records, and only the dirty paths are rehashed (a full
+  /// rebuild only when capacity grows). Every received record is hashed
+  /// by the SP itself. The final tree is identical to applying the puts one
+  /// by one — same leaves, same capacity (bit_ceil).
   Result<Hash256> ApplyPutBatch(const std::vector<FeedRecord>& records);
 
-  /// Bootstrap load: ApplyPutBatch without the root hand-back (preload path).
+  /// Bootstrap load: ApplyPutBatch without the root hand-back (preload path;
+  /// into an empty SP it is one rebuild).
   void BulkLoad(const std::vector<FeedRecord>& records) {
     (void)ApplyPutBatch(records);
   }

@@ -67,38 +67,92 @@ const Hash256& MerkleTree::Leaf(size_t index) const {
   return levels_[0][index];
 }
 
-void MerkleTree::RecomputePath(size_t leaf_index) {
-  size_t index = leaf_index;
-  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const size_t parent = index / 2;
-    const size_t left = parent * 2;
-    levels_[level + 1][parent] =
-        HashNode(levels_[level][left], levels_[level][left + 1]);
-    index = parent;
-  }
-}
-
 void MerkleTree::SetLeaf(size_t index, const Hash256& hash) {
   if (index >= leaf_count_) {
     throw std::out_of_range("MerkleTree::SetLeaf: index out of range");
   }
   levels_[0][index] = hash;
-  RecomputePath(index);
+  RecomputeSpan(index, index + 1);
+}
+
+void MerkleTree::SetLeaves(
+    std::span<const std::pair<size_t, Hash256>> updates) {
+  for (size_t i = 0; i < updates.size(); ++i) {
+    if (updates[i].first >= leaf_count_ ||
+        (i > 0 && updates[i].first <= updates[i - 1].first)) {
+      throw std::out_of_range(
+          "MerkleTree::SetLeaves: indices not sorted/in range");
+    }
+  }
+  // `dirty` holds the sorted, distinct node indices changed at the current
+  // level; each pass maps them to their parents in place (siblings collapse
+  // into one parent, so a shared ancestor is hashed once).
+  std::vector<size_t> dirty;
+  dirty.reserve(updates.size());
+  for (const auto& [index, hash] : updates) {
+    levels_[0][index] = hash;
+    dirty.push_back(index);
+  }
+  for (size_t level = 0; level + 1 < levels_.size() && !dirty.empty();
+       ++level) {
+    const auto& below = levels_[level];
+    auto& above = levels_[level + 1];
+    size_t count = 0;
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      const size_t parent = dirty[i] / 2;
+      if (count > 0 && dirty[count - 1] == parent) continue;
+      dirty[count++] = parent;
+      above[parent] = HashNode(below[2 * parent], below[2 * parent + 1]);
+    }
+    dirty.resize(count);
+  }
+}
+
+void MerkleTree::ReplaceSuffix(size_t first, std::span<const Hash256> suffix) {
+  if (first > leaf_count_) {
+    throw std::out_of_range("MerkleTree::ReplaceSuffix: first past the end");
+  }
+  const size_t old_count = leaf_count_;
+  const size_t new_count = first + suffix.size();
+  if (CapacityFor(new_count) != Capacity()) {
+    std::vector<Hash256> leaves;
+    leaves.reserve(new_count);
+    leaves.insert(leaves.end(), levels_[0].begin(),
+                  levels_[0].begin() + static_cast<long>(first));
+    leaves.insert(leaves.end(), suffix.begin(), suffix.end());
+    Rebuild(std::move(leaves));
+    return;
+  }
+  auto& leaves = levels_[0];
+  std::copy(suffix.begin(), suffix.end(),
+            leaves.begin() + static_cast<long>(first));
+  // A shrinking suffix hands its freed slots back to padding.
+  for (size_t i = new_count; i < old_count; ++i) leaves[i] = EmptyLeaf();
+  leaf_count_ = new_count;
+  RecomputeSpan(first, std::max(old_count, new_count));
+}
+
+void MerkleTree::RecomputeSpan(size_t lo, size_t hi) {
+  if (lo >= hi) return;
+  // Node j of level L spans leaves [j << L, (j + 1) << L): the nodes meeting
+  // [lo, hi) are j in [lo >> L, (hi - 1) >> L].
+  size_t first = lo, last = hi - 1;
+  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
+    first /= 2;
+    last /= 2;
+    const auto& below = levels_[level];
+    auto& above = levels_[level + 1];
+    for (size_t j = first; j <= last; ++j) {
+      above[j] = HashNode(below[2 * j], below[2 * j + 1]);
+    }
+  }
 }
 
 size_t MerkleTree::Append(const Hash256& hash) {
+  // O(log n) while capacity lasts; a full tree doubles through Rebuild, so
+  // amortized O(log n) per append.
   const size_t index = leaf_count_;
-  if (index < Capacity()) {
-    leaf_count_ += 1;
-    levels_[0][index] = hash;
-    RecomputePath(index);
-    return index;
-  }
-  // Grow: double the capacity and rebuild. Amortized O(log n) per append.
-  std::vector<Hash256> leaves(levels_[0].begin(),
-                              levels_[0].begin() + static_cast<long>(leaf_count_));
-  leaves.push_back(hash);
-  Rebuild(std::move(leaves));
+  ReplaceSuffix(index, {&hash, 1});
   return index;
 }
 

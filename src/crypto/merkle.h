@@ -18,12 +18,20 @@
 //    or injecting an extra one changes the recomputed root.
 //
 // Structural mutations: SetLeaf is O(log n); Append grows capacity by
-// doubling (amortized O(log n)); arbitrary-position insertion is a Rebuild,
-// which the ADS layer invokes only on (rare) out-of-order key inserts.
+// doubling (amortized O(log n)). Batches go through SetLeaves (k scattered
+// leaf writes; every dirty ancestor is hashed exactly once, level by level,
+// so shared ancestors cost one hash, not one per leaf) and ReplaceSuffix (a
+// sorted insert splices every leaf from the first insert position onward;
+// only the inner nodes whose span meets the changed range are rehashed).
+// Rebuild — every inner node rehashed — is left for the first load and for
+// a capacity change (bit_ceil of the leaf count moves), where the tree shape
+// itself changes. Every path yields the tree a fresh MerkleTree(leaves)
+// would build, bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -80,6 +88,19 @@ class MerkleTree {
   /// Replaces the leaf at `index` and recomputes the path to the root.
   void SetLeaf(size_t index, const Hash256& hash);
 
+  /// Batched SetLeaf: writes each (index, leaf-hash) pair and rehashes every
+  /// dirty ancestor once, level by level. Indices must be strictly ascending
+  /// and below LeafCount(); otherwise throws std::out_of_range before any
+  /// leaf is written.
+  void SetLeaves(std::span<const std::pair<size_t, Hash256>> updates);
+
+  /// Replaces leaves [first, LeafCount()) with `suffix`, so the tree ends up
+  /// holding LeafCount() = first + suffix.size() leaves. While the capacity
+  /// rule (bit_ceil) keeps the width, only inner nodes whose span meets the
+  /// changed leaf range are rehashed; a capacity change falls back to
+  /// Rebuild. Throws std::out_of_range if first > LeafCount().
+  void ReplaceSuffix(size_t first, std::span<const Hash256> suffix);
+
   /// Appends a leaf, doubling capacity when full. Returns the new index.
   size_t Append(const Hash256& hash);
 
@@ -122,7 +143,8 @@ class MerkleTree {
   static Hash256 EmptyLeaf() { return Hash256{}; }
 
  private:
-  void RecomputePath(size_t leaf_index);
+  /// Rehashes every inner node whose leaf span meets [lo, hi).
+  void RecomputeSpan(size_t lo, size_t hi);
 
   // levels_[0] = leaves (padded); levels_.back() = single root entry.
   std::vector<std::vector<Hash256>> levels_;

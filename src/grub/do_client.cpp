@@ -23,6 +23,10 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
   // forest is: one arena bucket per shard.
   policy_->BindShards(&sp_.Map());
   per_shard_update_gas_.assign(sp_.ShardCount(), 0);
+  // Unset contract root slots read as zero, the empty-tree root.
+  if (sp_.ShardCount() > 1) {
+    rollup_ = MerkleTree(std::vector<Hash256>(sp_.ShardCount()));
+  }
 }
 
 void DoClient::SetMetrics(telemetry::MetricsRegistry* registry) {
@@ -224,8 +228,9 @@ chain::Receipt DoClient::EndEpoch() {
   // 2. Actuate on the ADS: apply writes carrying their decided state (the
   // authenticated state bit syncs here). Single-shard deployments keep the
   // legacy per-record verified-put protocol (per-record SP pre-proofs);
-  // sharded ones batch per shard — one rebuild on each side per touched
-  // shard, with divergence detection at batch granularity (root equality).
+  // sharded ones batch per shard — each side rehashes only the touched
+  // shard's dirty paths, with divergence detection at batch granularity
+  // (root equality).
   const size_t shard_count = sp_.ShardCount();
   std::vector<Hash256> pre_roots(shard_count);
   for (uint32_t s = 0; s < shard_count; ++s) {
@@ -339,7 +344,7 @@ chain::Receipt DoClient::EndEpoch() {
                                   replicated_updates, evictions, tiered,
                                   /*gas_shard=*/0);
   } else {
-    receipt = SubmitShardedEpochUpdates(std::move(pre_roots), tree_touched,
+    receipt = SubmitShardedEpochUpdates(pre_roots, tree_touched,
                                         replicated_updates, evictions, tiered);
   }
 #if GRUB_TELEMETRY
@@ -354,7 +359,8 @@ chain::Receipt DoClient::EndEpoch() {
 }
 
 chain::Receipt DoClient::SubmitShardedEpochUpdates(
-    std::vector<Hash256> pre_roots, const std::vector<uint32_t>& tree_touched,
+    const std::vector<Hash256>& pre_roots,
+    const std::vector<uint32_t>& tree_touched,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
   const size_t shard_count = sp_.ShardCount();
@@ -401,16 +407,23 @@ chain::Receipt DoClient::SubmitShardedEpochUpdates(
   // therefore verifies on its own, the final stored digest equals the
   // post-epoch root-of-roots, and receipts meter per-shard Gas exactly.
   // This is why the epoch's Gas scales with TOUCHED shards, not keyspace.
-  std::vector<Hash256> chain_roots = std::move(pre_roots);
+  // The rollup mirror starts from the roots the contract holds and takes
+  // one SetLeaf per landing shard root: O(log shards) per digest instead of
+  // a full rollup per transaction.
+  std::vector<std::pair<size_t, Hash256>> stale;
+  for (uint32_t s = 0; s < shard_count; ++s) {
+    if (rollup_.Leaf(s) != pre_roots[s]) stale.emplace_back(s, pre_roots[s]);
+  }
+  rollup_.SetLeaves(stale);
   chain::Receipt receipt;
   for (uint32_t s : involved) {
     std::vector<std::pair<uint64_t, Hash256>> roots;
     if (has_root[s]) {
-      chain_roots[s] = ads_do_.ShardRoot(s);
-      roots.emplace_back(s, chain_roots[s]);
+      const Hash256 root = ads_do_.ShardRoot(s);
+      rollup_.SetLeaf(s, root);
+      roots.emplace_back(s, root);
     }
-    const Hash256 digest = shard::ComputeRootOfRoots(chain_roots);
-    receipt = SubmitUpdateChunked(digest, roots, /*sharded=*/true,
+    receipt = SubmitUpdateChunked(rollup_.Root(), roots, /*sharded=*/true,
                                   rep_by_shard[s], evict_by_shard[s],
                                   tier_by_shard[s], /*gas_shard=*/s);
   }

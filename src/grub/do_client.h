@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "chain/blockchain.h"
+#include "crypto/merkle.h"
 #include "fault/injector.h"
 #include "grub/policy.h"
 #include "grub/request_tracker.h"
@@ -189,7 +190,7 @@ class DoClient {
   /// are the shard roots before this epoch's batches were applied (== what
   /// the contract currently stores). Returns the last receipt.
   chain::Receipt SubmitShardedEpochUpdates(
-      std::vector<Hash256> pre_roots,
+      const std::vector<Hash256>& pre_roots,
       const std::vector<uint32_t>& tree_touched,
       const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered);
@@ -220,6 +221,9 @@ class DoClient {
   Options options_;
   std::unique_ptr<ReplicationPolicy> policy_;
   shard::ShardedAdsDo ads_do_;
+  // Sharded feeds: the shard-root rollup as the contract holds it, one leaf
+  // per shard; its root is the digest each update() carries.
+  MerkleTree rollup_;
 
   // DO-local copy of current values (it produced them), in the embedded
   // KVStore — used to re-encode records on state-only flips.

@@ -20,10 +20,18 @@
 //
 // Batch protocol. Per-shard gPut batches skip the per-record SP pre-proof of
 // the legacy VerifiedPut: the DO applies the whole batch to its own mirror,
-// the SP applies the same batch, and root equality after the batch detects
-// any SP divergence — the same detection the per-record proofs give, settled
-// at the epoch boundary where the signed digest is published anyway. The
-// single-shard path keeps the legacy per-record protocol untouched.
+// the SP applies the same batch, and the roots must agree afterwards. Both
+// sides rehash dirty paths only (in-place leaf writes for overwrites, a
+// suffix splice from the first insert), so root equality checks the SP's
+// TREE: the changed leaves, which the SP hashes from the records it
+// received, combined with every other node it holds — a forked tree
+// diverges even on keys outside the batch. It does NOT re-hash the records
+// the SP stores: a value forged beneath an honest leaf hash survives the
+// batch and is caught where it is served, because every served proof
+// recomputes its leaf from the delivered record and verifies it against
+// the shard root (ads/verify.h, the on-chain deliver check). Served-proof
+// verification remains the integrity guarantee. The single-shard path keeps
+// the legacy per-record protocol untouched.
 #pragma once
 
 #include <functional>
@@ -117,7 +125,7 @@ class ShardedAdsDo {
   Status VerifiedPut(ShardedAdsSp& sp, const ads::FeedRecord& record);
 
   /// Per-shard batch: applies `records` (arrival order, last write per key
-  /// wins) to shard `s` on both sides with ONE tree rebuild each, then
+  /// wins) to shard `s` on both sides, rehashing dirty paths only, then
   /// compares roots. Records must all map to shard `s`.
   Status VerifiedBatchPut(ShardedAdsSp& sp, uint32_t s,
                           const std::vector<ads::FeedRecord>& records);

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "crypto/merkle.h"
+#include "telemetry/profile.h"
 
 namespace grub {
 namespace {
@@ -120,6 +121,191 @@ TEST(Merkle, AppendMatchesRebuild) {
     ASSERT_EQ(incremental.Capacity(), rebuilt.Capacity());
   }
 }
+
+// --- batched updates: SetLeaves / ReplaceSuffix ---
+
+// Holds `tree` to the tree a fresh MerkleTree(leaves) builds: leaf count,
+// capacity, root, and the audit path of every slot up to capacity — those
+// paths together cover every node of every level, padding included.
+void ExpectSameAsFresh(const MerkleTree& tree,
+                       const std::vector<Hash256>& leaves) {
+  MerkleTree fresh(leaves);
+  ASSERT_EQ(tree.LeafCount(), fresh.LeafCount());
+  ASSERT_EQ(tree.Capacity(), fresh.Capacity());
+  ASSERT_EQ(tree.Root(), fresh.Root());
+  for (size_t i = 0; i < fresh.Capacity(); ++i) {
+    ASSERT_EQ(tree.ProveLeaf(i), fresh.ProveLeaf(i)) << "slot " << i;
+  }
+}
+
+std::vector<std::pair<size_t, Hash256>> RandomUpdates(Rng& rng, size_t n) {
+  std::vector<std::pair<size_t, Hash256>> updates;
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.NextBounded(3) == 0) {
+      updates.emplace_back(i, Hash256::FromU64(rng.NextU64()));
+    }
+  }
+  return updates;
+}
+
+TEST(MerkleBatch, SetLeavesMatchesFreshTree) {
+  Rng rng(41);
+  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33}) {
+    auto leaves = MakeLeaves(n);
+    MerkleTree tree(leaves);
+    for (int step = 0; step < 20; ++step) {
+      const auto updates = RandomUpdates(rng, n);
+      for (const auto& [i, h] : updates) leaves[i] = h;
+      tree.SetLeaves(updates);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(tree, leaves))
+          << "n " << n << " step " << step;
+    }
+  }
+}
+
+TEST(MerkleBatch, SetLeavesTouchingBothChildrenOfOneParent) {
+  auto leaves = MakeLeaves(8);
+  MerkleTree tree(leaves);
+  // Leaves 2 and 3 share a parent; 4 and 5 share another; all four share
+  // the root path above level 2.
+  const std::vector<std::pair<size_t, Hash256>> updates = {
+      {2, Hash256::FromU64(90)}, {3, Hash256::FromU64(91)},
+      {4, Hash256::FromU64(92)}, {5, Hash256::FromU64(93)}};
+  for (const auto& [i, h] : updates) leaves[i] = h;
+  tree.SetLeaves(updates);
+  ExpectSameAsFresh(tree, leaves);
+}
+
+TEST(MerkleBatch, EmptyTreeAndSingleLeaf) {
+  MerkleTree tree;
+  tree.SetLeaves({});
+  tree.ReplaceSuffix(0, {});
+  ExpectSameAsFresh(tree, {});
+
+  std::vector<Hash256> leaves = MakeLeaves(1);
+  tree.ReplaceSuffix(0, leaves);
+  ExpectSameAsFresh(tree, leaves);
+
+  leaves[0] = Hash256::FromU64(77);
+  const std::pair<size_t, Hash256> update{0, leaves[0]};
+  tree.SetLeaves({&update, 1});
+  ExpectSameAsFresh(tree, leaves);
+
+  tree.ReplaceSuffix(0, {});  // back to empty
+  ExpectSameAsFresh(tree, {});
+}
+
+TEST(MerkleBatch, ReplaceSuffixAcrossCapacityBoundaries) {
+  // n = 2^k grows to 2^k + 1 (capacity doubles) and shrinks back (capacity
+  // halves); n = 2^k - 1 grows to 2^k (capacity kept), from every splice
+  // position.
+  for (size_t k = 0; k <= 5; ++k) {
+    const size_t full = size_t{1} << k;
+    for (size_t n : {full - 1, full, full + 1}) {
+      if (n == 0) continue;
+      for (size_t first = 0; first <= n; ++first) {
+        auto leaves = MakeLeaves(n);
+        MerkleTree tree(leaves);
+        // Insert one leaf at `first`.
+        std::vector<Hash256> suffix(leaves.begin() + static_cast<long>(first),
+                                    leaves.end());
+        suffix.insert(suffix.begin(), Hash256::FromU64(500 + first));
+        leaves.insert(leaves.begin() + static_cast<long>(first), suffix[0]);
+        tree.ReplaceSuffix(first, suffix);
+        ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(tree, leaves))
+            << "grow n " << n << " first " << first;
+        // And drop it again.
+        suffix.erase(suffix.begin());
+        leaves.erase(leaves.begin() + static_cast<long>(first));
+        tree.ReplaceSuffix(first, suffix);
+        ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(tree, leaves))
+            << "shrink n " << n << " first " << first;
+      }
+    }
+  }
+}
+
+TEST(MerkleBatch, ReplaceSuffixSpliceAtIndexZero) {
+  auto leaves = MakeLeaves(12);
+  MerkleTree tree(leaves);
+  std::vector<Hash256> suffix = {Hash256::FromU64(1), Hash256::FromU64(2)};
+  suffix.insert(suffix.end(), leaves.begin(), leaves.end());
+  tree.ReplaceSuffix(0, suffix);  // 14 leaves: capacity 16 kept
+  ExpectSameAsFresh(tree, suffix);
+}
+
+TEST(MerkleBatch, RandomEditScriptsMatchFreshTree) {
+  // Random scripts mixing overwrite batches with sorted-insert splices (and
+  // the odd deletion), growing from empty through several doublings.
+  Rng rng(2024);
+  for (int script = 0; script < 20; ++script) {
+    std::vector<Hash256> leaves;
+    MerkleTree tree;
+    for (int step = 0; step < 30; ++step) {
+      if (!leaves.empty() && rng.NextBounded(2) == 0) {
+        const auto updates = RandomUpdates(rng, leaves.size());
+        for (const auto& [i, h] : updates) leaves[i] = h;
+        tree.SetLeaves(updates);
+      } else {
+        const size_t first = rng.NextBounded(leaves.size() + 1);
+        std::vector<Hash256> suffix(
+            leaves.begin() + static_cast<long>(first), leaves.end());
+        const size_t inserts = rng.NextBounded(4);
+        for (size_t j = 0; j < inserts; ++j) {
+          const size_t at = rng.NextBounded(suffix.size() + 1);
+          suffix.insert(suffix.begin() + static_cast<long>(at),
+                        Hash256::FromU64(rng.NextU64()));
+        }
+        if (!suffix.empty() && rng.NextBounded(5) == 0) {
+          suffix.erase(suffix.begin() +
+                       static_cast<long>(rng.NextBounded(suffix.size())));
+        }
+        leaves.resize(first);
+        leaves.insert(leaves.end(), suffix.begin(), suffix.end());
+        tree.ReplaceSuffix(first, suffix);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameAsFresh(tree, leaves))
+          << "script " << script << " step " << step;
+    }
+  }
+}
+
+TEST(MerkleBatch, BadIndicesThrowWithoutWriting) {
+  auto leaves = MakeLeaves(6);
+  MerkleTree tree(leaves);
+  const Hash256 x = Hash256::FromU64(999);
+  using Updates = std::vector<std::pair<size_t, Hash256>>;
+  EXPECT_THROW(tree.SetLeaves(Updates{{3, x}, {1, x}}), std::out_of_range);
+  EXPECT_THROW(tree.SetLeaves(Updates{{2, x}, {2, x}}), std::out_of_range);
+  EXPECT_THROW(tree.SetLeaves(Updates{{1, x}, {6, x}}), std::out_of_range);
+  EXPECT_THROW(tree.ReplaceSuffix(7, {}), std::out_of_range);
+  // The valid leading pairs of a rejected batch were not applied.
+  ExpectSameAsFresh(tree, leaves);
+}
+
+#if GRUB_TELEMETRY
+TEST(MerkleBatch, CapacityPreservingBatchesNeverRebuild) {
+  auto leaves = MakeLeaves(10);
+  MerkleTree tree(leaves);
+  telemetry::ProfileRegistry::Reset();
+  telemetry::ProfileRegistry::Enable(true);
+  const std::vector<std::pair<size_t, Hash256>> updates = {
+      {0, Hash256::FromU64(1)}, {9, Hash256::FromU64(2)}};
+  tree.SetLeaves(updates);
+  std::vector<Hash256> suffix(leaves.begin() + 4, leaves.end());
+  suffix.insert(suffix.begin(), Hash256::FromU64(3));
+  tree.ReplaceSuffix(4, suffix);  // 11 leaves: capacity 16 kept
+  const auto kept = telemetry::ProfileRegistry::Snapshot();
+  suffix.insert(suffix.end(), 6, Hash256::FromU64(4));
+  tree.ReplaceSuffix(4, suffix);  // 17 leaves: capacity doubles
+  const auto grown = telemetry::ProfileRegistry::Snapshot();
+  telemetry::ProfileRegistry::Enable(false);
+  const auto rebuild =
+      static_cast<size_t>(telemetry::ProbeSite::kMerkleRebuild);
+  EXPECT_EQ(kept[rebuild].count, 0u);
+  EXPECT_EQ(grown[rebuild].count, 1u);
+}
+#endif
 
 TEST(Merkle, TamperedLeafFailsVerification) {
   auto leaves = MakeLeaves(8);

@@ -4,6 +4,7 @@
 
 #include "ads/verify.h"
 #include "shard/forest.h"
+#include "telemetry/profile.h"
 #include "workload/trace.h"
 
 namespace grub::shard {
@@ -131,35 +132,128 @@ TEST(Forest, TouchedShardsTracksAndClears) {
 }
 
 TEST(Forest, BatchPutMatchesPerRecordPuts) {
-  // The per-shard batch (one rebuild) must land on the same tree as the
-  // legacy per-record protocol — that equality is what lets batch roots
-  // stand in for per-record proofs.
-  ShardedAdsSp batch_sp(FourWay());
-  ShardedAdsDo batch_do(FourWay(), ToBytes("key"));
-  ShardedAdsSp seq_sp(FourWay());
-  ShardedAdsDo seq_do(FourWay(), ToBytes("key"));
-  std::vector<ads::FeedRecord> batch = {Rec(30, "a"), Rec(27, "b"),
-                                        Rec(30, "c"), Rec(49, "d")};
-  const uint32_t s = batch_sp.Map().ShardOf(MakeKey(30));
-  ASSERT_TRUE(batch_do.VerifiedBatchPut(batch_sp, s, batch).ok());
-  for (const auto& r : batch) ASSERT_TRUE(seq_do.VerifiedPut(seq_sp, r).ok());
-  EXPECT_EQ(batch_sp.RootOfRoots(), seq_sp.RootOfRoots());
-  EXPECT_EQ(batch_do.RootOfRoots(), seq_do.RootOfRoots());
-  // Last write per key won.
-  auto rec = batch_sp.Peek(MakeKey(30));
-  ASSERT_TRUE(rec.ok());
-  EXPECT_EQ(rec->value, ToBytes("c"));
+  // A per-shard batch (in-place leaf writes for overwrites, a suffix splice
+  // from the first insert) must land on the same trees as the legacy
+  // per-record protocol — that equality is what lets batch roots stand in
+  // for per-record proofs. Shard 1 of FourWay() holds keys [25, 50).
+  struct Case {
+    const char* name;
+    std::vector<ads::FeedRecord> preload;
+    std::vector<ads::FeedRecord> batch;
+  };
+  std::vector<ads::FeedRecord> sparse;  // 30, 32, ..., 44: 8 leaves, full
+  for (uint64_t i = 30; i < 46; i += 2) sparse.push_back(Rec(i, "old"));
+  const std::vector<Case> cases = {
+      {"insert-and-overwrite on an empty shard",
+       {},
+       {Rec(30, "a"), Rec(27, "b"), Rec(30, "c"), Rec(49, "d")}},
+      {"overwrite-only", sparse,
+       {Rec(44, "x"), Rec(30, "y"), Rec(36, "z"), Rec(30, "w")}},
+      {"state-bit-only flips", sparse,
+       {Rec(32, "old", ads::ReplState::kR), Rec(34, "old", ads::ReplState::kR),
+        Rec(40, "old", ads::ReplState::kR)}},
+      {"mixed insert and overwrite", sparse,
+       {Rec(33, "i"), Rec(36, "o"), Rec(41, "i"), Rec(44, "o")}},
+      {"insert below the shard's first key", sparse,
+       {Rec(25, "lo"), Rec(40, "o")}},
+      {"capacity doubling", sparse,
+       {Rec(31, "i"), Rec(46, "i"), Rec(47, "i"), Rec(30, "o")}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ShardedAdsSp batch_sp(FourWay());
+    ShardedAdsDo batch_do(FourWay(), ToBytes("key"));
+    ShardedAdsSp seq_sp(FourWay());
+    ShardedAdsDo seq_do(FourWay(), ToBytes("key"));
+    batch_do.BulkLoad(batch_sp, c.preload);
+    seq_do.BulkLoad(seq_sp, c.preload);
+    const uint32_t s = 1;
+    ASSERT_TRUE(batch_do.VerifiedBatchPut(batch_sp, s, c.batch).ok());
+    for (const auto& r : c.batch) {
+      ASSERT_TRUE(seq_do.VerifiedPut(seq_sp, r).ok());
+    }
+    EXPECT_EQ(batch_sp.ShardRoot(s), seq_sp.ShardRoot(s));
+    EXPECT_EQ(batch_do.ShardRoot(s), seq_do.ShardRoot(s));
+    EXPECT_EQ(batch_sp.ShardRoot(s), batch_do.ShardRoot(s));
+    EXPECT_EQ(batch_sp.Shard(s).Capacity(), seq_sp.Shard(s).Capacity());
+    EXPECT_EQ(batch_sp.RootOfRoots(), seq_sp.RootOfRoots());
+    // Last write per key won, and every record still proves.
+    for (const auto& r : c.batch) {
+      auto proof = batch_sp.Get(r.key);
+      ASSERT_TRUE(proof.ok());
+      EXPECT_EQ(proof->record, *seq_sp.Peek(r.key));
+      EXPECT_TRUE(ads::VerifyQuery(batch_do.ShardRoot(s), *proof));
+    }
+  }
 }
 
 TEST(Forest, BatchPutDetectsSpDivergence) {
+  // Root equality covers the whole tree, not only the batch's leaves: a fork
+  // on a key the next batch never touches still diverges the roots — for an
+  // insert above the forked key, an overwrite-only batch (the fork sits
+  // off every dirty path), and an insert below it (the forked leaf rides the
+  // spliced tail).
+  for (uint64_t batch_key : {36u, 40u, 26u}) {
+    SCOPED_TRACE(batch_key);
+    ShardedAdsSp sp(FourWay());
+    ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
+    ads_do.BulkLoad(sp, {Rec(30, "honest"), Rec(35, "v"), Rec(40, "v")});
+    sp.Shard(1).ForkForTesting(MakeKey(35), ToBytes("forged"));
+    // The next batch's root comparison catches the fork.
+    EXPECT_FALSE(
+        ads_do.VerifiedBatchPut(sp, 1, {Rec(batch_key, "new")}).ok());
+  }
+}
+
+TEST(Forest, TamperedRecordRejectedWhenServedAfterIncrementalBatch) {
+  // Detection boundary: a stored value forged WITHOUT touching the tree is
+  // invisible to batch root equality (the SP reuses its tree's leaf hashes
+  // for records outside the batch), so the batch goes through — but the
+  // served proof recomputes the leaf from the forged record and fails the
+  // hardened verify path against the DO's root.
+  for (uint64_t batch_key : {40u, 26u}) {  // overwrite-only; splice below
+    SCOPED_TRACE(batch_key);
+    ShardedAdsSp sp(FourWay());
+    ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
+    ads_do.BulkLoad(sp, {Rec(30, "honest"), Rec(35, "v"), Rec(40, "v")});
+    sp.Shard(1).TamperValueForTesting(MakeKey(35), ToBytes("forged"));
+    ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, 1, {Rec(batch_key, "new")}).ok());
+    auto proof = sp.Get(MakeKey(35));
+    ASSERT_TRUE(proof.ok());
+    EXPECT_EQ(proof->record.value, ToBytes("forged"));
+    EXPECT_EQ(ads::CheckQuery(ads_do.ShardRoot(1), *proof),
+              ads::ProofReject::kRootMismatch);
+  }
+}
+
+#if GRUB_TELEMETRY
+TEST(Forest, IncrementalBatchesRebuildNoTree) {
+  // After the bootstrap load, batches that keep each shard's capacity touch
+  // dirty paths only; the one doubling batch rebuilds once per side.
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(30, "honest")).ok());
-  sp.Shard(1).ForkForTesting(MakeKey(30), ToBytes("forged"));
-  // The next batch's root comparison catches the fork.
-  EXPECT_FALSE(
-      ads_do.VerifiedBatchPut(sp, 1, {Rec(31, "v")}).ok());
+  std::vector<ads::FeedRecord> records;
+  for (uint64_t i = 25; i < 37; ++i) records.push_back(Rec(i, "v"));  // 12
+  ads_do.BulkLoad(sp, records);
+  const auto rebuilds = [] {
+    return telemetry::ProfileRegistry::Snapshot()[static_cast<size_t>(
+        telemetry::ProbeSite::kMerkleRebuild)].count;
+  };
+  telemetry::ProfileRegistry::Reset();
+  telemetry::ProfileRegistry::Enable(true);
+  ASSERT_TRUE(
+      ads_do.VerifiedBatchPut(sp, 1, {Rec(30, "o"), Rec(26, "o")}).ok());
+  ASSERT_TRUE(
+      ads_do.VerifiedBatchPut(sp, 1, {Rec(40, "i"), Rec(31, "o")}).ok());
+  const uint64_t in_place = rebuilds();
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(
+      sp, 1, {Rec(41, "i"), Rec(42, "i"), Rec(43, "i"), Rec(44, "i")}).ok());
+  const uint64_t doubled = rebuilds();
+  telemetry::ProfileRegistry::Enable(false);
+  EXPECT_EQ(in_place, 0u);
+  EXPECT_EQ(doubled, 2u);  // 17 records: capacity 16 -> 32, DO + SP
 }
+#endif
 
 TEST(Forest, BulkLoadEqualsIncrementalLoad) {
   ShardedAdsSp bulk_sp(FourWay());
