@@ -72,11 +72,13 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
                  : std::vector<size_t>{size_t{1} << 10, size_t{1} << 16};
   for (size_t store : stores) {
     ads::AdsSp sp;
+    std::vector<ads::FeedRecord> records;
+    records.reserve(store);
     for (uint64_t i = 0; i < store; ++i) {
-      (void)sp.ApplyPut(
-          ads::FeedRecord{workload::MakeKey(i), Bytes(32, 0x42),
-                          ads::ReplState::kNR});
+      records.push_back(ads::FeedRecord{workload::MakeKey(i), Bytes(32, 0x42),
+                                        ads::ReplState::kNR});
     }
+    sp.BulkLoad(records);
     const size_t log2_store =
         static_cast<size_t>(std::log2(static_cast<double>(store)));
     std::printf("store 2^%zu:\n", log2_store);

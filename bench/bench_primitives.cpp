@@ -108,10 +108,12 @@ BENCHMARK(BM_KVStoreScan100);
 void BM_AdsSpGetProof(benchmark::State& state) {
   ads::AdsSp sp;
   Bytes value(128, 0x11);
+  std::vector<ads::FeedRecord> records;
   for (uint64_t i = 0; i < 4096; ++i) {
-    (void)sp.ApplyPut(
+    records.push_back(
         ads::FeedRecord{workload::MakeKey(i), value, ads::ReplState::kNR});
   }
+  sp.BulkLoad(records);
   uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sp.Get(workload::MakeKey(i % 4096)));

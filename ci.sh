@@ -35,12 +35,13 @@ ctest --test-dir build-asan -L fault --output-on-failure -j "${JOBS}"
 echo "=== build-asan: adversary matrix (ctest -L adversary) ==="
 ctest --test-dir build-asan -L adversary --output-on-failure -j "${JOBS}"
 
-# Forest matrix: the Merkle-forest suites (label `shard`) and the Merkle
-# tree suite (label `merkle`) under the sanitizers — batch updates splice
-# leaf suffixes and walk dirty-node index ranges level by level, exactly
-# where off-by-one and out-of-bounds bugs hide.
-echo "=== build-asan: forest matrix (ctest -L 'shard|merkle') ==="
-ctest --test-dir build-asan -L 'shard|merkle' --output-on-failure -j "${JOBS}"
+# Forest matrix: the Merkle-forest suites (label `shard`), the Merkle tree
+# suite (label `merkle`) and the ADS suites (label `ads`, home of the one
+# verified write path) under the sanitizers — batch updates splice leaf
+# suffixes and walk dirty-node index ranges level by level, exactly where
+# off-by-one and out-of-bounds bugs hide.
+echo "=== build-asan: forest matrix (ctest -L 'shard|merkle|ads') ==="
+ctest --test-dir build-asan -L 'shard|merkle|ads' --output-on-failure -j "${JOBS}"
 
 # Gas identity: a GRUB_FAULTS=OFF build must produce bit-identical bench
 # output to the default build when no schedule is active — the fail-point

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <iterator>
-#include <map>
 
 #include "ads/verify.h"
 
 namespace grub::ads {
+
+AdsDo::Batch AdsDo::Dedup(const std::vector<FeedRecord>& records) {
+  Batch batch;
+  for (const auto& r : records) batch[r.key] = &r;
+  return batch;
+}
 
 size_t AdsDo::LowerBound(ByteSpan key) const {
   auto it = std::lower_bound(
@@ -15,37 +20,36 @@ size_t AdsDo::LowerBound(ByteSpan key) const {
   return static_cast<size_t>(it - keys_.begin());
 }
 
-void AdsDo::ApplyLocal(size_t pos, bool existed, const FeedRecord& record) {
-  const Hash256 leaf = record.LeafHash();
-  if (existed) {
-    mirror_.SetLeaf(pos, leaf);
-  } else if (pos == keys_.size()) {
-    keys_.push_back(record.key);
-    mirror_.Append(leaf);
-  } else {
-    keys_.insert(keys_.begin() + static_cast<long>(pos), record.key);
-    std::vector<Hash256> leaves;
-    leaves.reserve(keys_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (i == pos) {
-        leaves.push_back(leaf);
-      } else {
-        leaves.push_back(mirror_.Leaf(i < pos ? i : i - 1));
+Status AdsDo::CheckSpHolds(const AdsSp& sp, const Batch& batch) const {
+  const Hash256 root = Root();
+  for (const auto& entry : batch) {
+    const Bytes& key = entry.first;
+    const size_t pos = LowerBound(key);
+    if (pos < keys_.size() && Compare(keys_[pos], key) == 0) {
+      // The SP must prove it still holds the record our root commits to.
+      auto proof = sp.Get(key);
+      if (!proof.ok()) {
+        return Status::IntegrityViolation("SP omitted an existing record");
+      }
+      if (proof->index != pos || !VerifyQuery(root, *proof)) {
+        return Status::IntegrityViolation(
+            "SP proof failed for existing record");
+      }
+    } else {
+      auto absence = sp.ProveAbsent(key);
+      if (!absence.ok()) {
+        return Status::IntegrityViolation(
+            "SP claims presence of a record the DO never wrote");
+      }
+      if (!VerifyAbsence(root, key, *absence)) {
+        return Status::IntegrityViolation("SP absence proof failed");
       }
     }
-    mirror_.Rebuild(std::move(leaves));
   }
+  return Status::Ok();
 }
 
-void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
-  struct BytesLess {
-    bool operator()(const Bytes& a, const Bytes& b) const {
-      return Compare(a, b) < 0;
-    }
-  };
-  std::map<Bytes, Hash256, BytesLess> batch;  // key -> leaf, last write wins
-  for (const auto& r : records) batch[r.key] = r.LeafHash();
-
+void AdsDo::ApplyBatchLocal(const Batch& batch) {
   // Keys ahead of the first insert are overwrites: in-place leaf writes.
   std::vector<std::pair<size_t, Hash256>> overwrites;
   auto it = batch.begin();
@@ -56,7 +60,7 @@ void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
       splice = pos;
       break;
     }
-    overwrites.emplace_back(pos, it->second);
+    overwrites.emplace_back(pos, it->second->LeafHash());
   }
   mirror_.SetLeaves(overwrites);
   if (it == batch.end()) return;
@@ -70,11 +74,11 @@ void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
   for (size_t i = splice; i < keys_.size(); ++i) {
     while (it != batch.end() && Compare(it->first, keys_[i]) < 0) {
       tail_keys.push_back(it->first);
-      tail_leaves.push_back(it->second);
+      tail_leaves.push_back(it->second->LeafHash());
       ++it;
     }
     if (it != batch.end() && Compare(it->first, keys_[i]) == 0) {
-      tail_leaves.push_back(it->second);
+      tail_leaves.push_back(it->second->LeafHash());
       ++it;
     } else {
       tail_leaves.push_back(mirror_.Leaf(i));
@@ -83,7 +87,7 @@ void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
   }
   for (; it != batch.end(); ++it) {
     tail_keys.push_back(it->first);
-    tail_leaves.push_back(it->second);
+    tail_leaves.push_back(it->second->LeafHash());
   }
   keys_.resize(splice);
   keys_.insert(keys_.end(), std::make_move_iterator(tail_keys.begin()),
@@ -94,7 +98,10 @@ void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
 Status AdsDo::VerifiedBatchPut(AdsSp& sp,
                                const std::vector<FeedRecord>& records) {
   if (records.empty()) return Status::Ok();
-  ApplyBatchLocal(records);
+  const Batch batch = Dedup(records);
+  Status held = CheckSpHolds(sp, batch);
+  if (!held.ok()) return held;
+  ApplyBatchLocal(batch);
   auto sp_root = sp.ApplyPutBatch(records);
   if (!sp_root.ok()) return sp_root.status();
   if (*sp_root != Root()) {
@@ -105,42 +112,8 @@ Status AdsDo::VerifiedBatchPut(AdsSp& sp,
 
 void AdsDo::BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records) {
   if (records.empty()) return;
-  ApplyBatchLocal(records);
+  ApplyBatchLocal(Dedup(records));
   sp.BulkLoad(records);
-}
-
-Status AdsDo::VerifiedPut(AdsSp& sp, const FeedRecord& record) {
-  const size_t pos = LowerBound(record.key);
-  const bool existed =
-      pos < keys_.size() && Compare(keys_[pos], record.key) == 0;
-
-  if (existed) {
-    // The SP must prove it still holds the record our root commits to.
-    auto proof = sp.Get(record.key);
-    if (!proof.ok()) {
-      return Status::IntegrityViolation("SP omitted an existing record");
-    }
-    if (proof->index != pos || !VerifyQuery(Root(), *proof)) {
-      return Status::IntegrityViolation("SP proof failed for existing record");
-    }
-  } else {
-    auto absence = sp.ProveAbsent(record.key);
-    if (!absence.ok()) {
-      return Status::IntegrityViolation(
-          "SP claims presence of a record the DO never wrote");
-    }
-    if (!VerifyAbsence(Root(), record.key, *absence)) {
-      return Status::IntegrityViolation("SP absence proof failed");
-    }
-  }
-
-  ApplyLocal(pos, existed, record);
-  auto sp_root = sp.ApplyPut(record);
-  if (!sp_root.ok()) return sp_root.status();
-  if (*sp_root != Root()) {
-    return Status::IntegrityViolation("SP root diverged after update");
-  }
-  return Status::Ok();
 }
 
 Status AdsDo::VerifiedDelete(AdsSp& sp, ByteSpan key) {
@@ -153,14 +126,14 @@ Status AdsDo::VerifiedDelete(AdsSp& sp, ByteSpan key) {
     return Status::IntegrityViolation("SP proof failed before delete");
   }
 
-  keys_.erase(keys_.begin() + static_cast<long>(pos));
-  std::vector<Hash256> leaves;
-  leaves.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size() + 1; ++i) {
-    if (i == pos) continue;
-    leaves.push_back(mirror_.Leaf(i));
+  // Every leaf after the deleted one shifts down by one: splice the tail.
+  std::vector<Hash256> tail;
+  tail.reserve(keys_.size() - pos - 1);
+  for (size_t i = pos + 1; i < keys_.size(); ++i) {
+    tail.push_back(mirror_.Leaf(i));
   }
-  mirror_.Rebuild(std::move(leaves));
+  keys_.erase(keys_.begin() + static_cast<long>(pos));
+  mirror_.ReplaceSuffix(pos, tail);
 
   Status s = sp.ApplyDelete(key);
   if (!s.ok()) return s;
@@ -168,14 +141,6 @@ Status AdsDo::VerifiedDelete(AdsSp& sp, ByteSpan key) {
     return Status::IntegrityViolation("SP root diverged after delete");
   }
   return Status::Ok();
-}
-
-void AdsDo::UnverifiedPut(AdsSp& sp, const FeedRecord& record) {
-  const size_t pos = LowerBound(record.key);
-  const bool existed =
-      pos < keys_.size() && Compare(keys_[pos], record.key) == 0;
-  ApplyLocal(pos, existed, record);
-  (void)sp.ApplyPut(record);
 }
 
 }  // namespace grub::ads

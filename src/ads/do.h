@@ -1,15 +1,21 @@
 // ADS_DO: the trusted data owner's side of the ADS protocol (step w1).
 //
-// The DO tracks the authoritative Merkle root. Before accepting its own
-// update into the root it runs the verified-update protocol against the SP:
-// fetch the current record's proof (or absence proof), verify against the
-// locally held root, then apply the new leaf and recompute the root. A
-// mirror tree of leaf hashes (not values) makes root recomputation O(log n)
-// without re-asking the SP for sibling data.
+// The DO tracks the authoritative Merkle root and runs one verified-update
+// protocol for every write: a batch of records (one record is a batch of
+// one) is de-duplicated by key, the SP proves against the pre-batch root
+// that it still holds what that root commits to for every key the batch
+// writes (a membership proof at the DO's index for an existing key, an
+// absence proof for a new one), and only then do both sides apply the batch
+// and the roots get compared. A mirror tree of leaf hashes (not values)
+// makes the root recomputation a dirty-path splice without re-asking the SP
+// for sibling data.
 //
 // The DO also signs each epoch's root (sequence = epoch number) so stale or
 // forked roots replayed by the SP are rejected downstream.
 #pragma once
+
+#include <map>
+#include <vector>
 
 #include "ads/record.h"
 #include "ads/sp.h"
@@ -23,31 +29,23 @@ class AdsDo {
  public:
   explicit AdsDo(Bytes signing_key) : signer_(std::move(signing_key)) {}
 
-  /// Verified update against the SP: checks the SP still holds data
-  /// consistent with our root, then applies the put on both sides.
-  /// Returns kIntegrityViolation if the SP's proofs do not check out.
-  Status VerifiedPut(AdsSp& sp, const FeedRecord& record);
+  /// The verified update: applies `records` (arrival order, last write per
+  /// key wins) on both sides. Every distinct key is first checked against
+  /// the pre-batch root — sp.Get must return the record at the DO's index
+  /// with a verifying proof for an existing key, sp.ProveAbsent a verifying
+  /// absence proof for a new one — and any failure returns
+  /// kIntegrityViolation with neither side touched. Then each side rehashes
+  /// dirty paths only (in-place leaf writes ahead of the first insert, a
+  /// suffix splice from it; a rebuild only when capacity grows) and the SP's
+  /// new root must equal the mirror's.
+  Status VerifiedBatchPut(AdsSp& sp, const std::vector<FeedRecord>& records);
 
   /// Verified delete (tombstoning a key out of the tree).
   Status VerifiedDelete(AdsSp& sp, ByteSpan key);
 
-  /// Batch update: applies `records` (arrival order, last write per key
-  /// wins) to the local mirror and the SP, then compares roots. Each side
-  /// rehashes only dirty paths: overwrites ahead of the first insert are
-  /// in-place leaf writes, and an insert splices the leaves from its
-  /// position onward (a full rebuild only when capacity grows). Skips the
-  /// per-record SP pre-proofs — root equality after the batch detects any
-  /// divergence of the SP's tree, settled at the batch boundary instead of
-  /// per record.
-  Status VerifiedBatchPut(AdsSp& sp, const std::vector<FeedRecord>& records);
-
-  /// Bootstrap load without SP round-trips (initial dataset).
-  void UnverifiedPut(AdsSp& sp, const FeedRecord& record);
-
-  /// Bootstrap load of a whole dataset into an empty DO: one mirror rebuild
-  /// + one SP rebuild (the per-record UnverifiedPut loop rebuilds per
-  /// mid-array insert).
-  /// Produces the same tree as the loop — same leaves, same capacity.
+  /// Bootstrap load without SP round-trips (initial dataset): the batch
+  /// applied on both sides unverified. Into an empty DO it is one mirror
+  /// rebuild + one SP rebuild.
   void BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records);
 
   Hash256 Root() const { return mirror_.Root(); }
@@ -60,9 +58,18 @@ class AdsDo {
   const Bytes& VerificationKey() const { return signer_.VerificationKey(); }
 
  private:
+  struct BytesLess {
+    bool operator()(const Bytes& a, const Bytes& b) const {
+      return Compare(a, b) < 0;
+    }
+  };
+  /// A batch's distinct keys in key order, each mapped to its last write.
+  using Batch = std::map<Bytes, const FeedRecord*, BytesLess>;
+
+  static Batch Dedup(const std::vector<FeedRecord>& records);
   size_t LowerBound(ByteSpan key) const;
-  void ApplyLocal(size_t pos, bool existed, const FeedRecord& record);
-  void ApplyBatchLocal(const std::vector<FeedRecord>& records);
+  Status CheckSpHolds(const AdsSp& sp, const Batch& batch) const;
+  void ApplyBatchLocal(const Batch& batch);
 
   MacSigner signer_;
   MerkleTree mirror_;        // leaf hashes only

@@ -15,6 +15,7 @@ AdsSp::AdsSp(const std::string& db_path) {
 
   // Crash recovery: the KVStore holds canonical record encodings keyed by
   // record key (already in key order); rebuild the array and the tree.
+  std::vector<Hash256> leaves;
   auto it = db_->NewIterator();
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     auto record = FeedRecord::Deserialize(it->value());
@@ -22,9 +23,10 @@ AdsSp::AdsSp(const std::string& db_path) {
       throw std::runtime_error("AdsSp: corrupt persisted record: " +
                                record.status().ToString());
     }
+    leaves.push_back(record->LeafHash());
     records_.push_back(std::move(record).value());
   }
-  if (!records_.empty()) RebuildTree();
+  if (!records_.empty()) tree_.Rebuild(std::move(leaves));
 }
 
 size_t AdsSp::LowerBound(ByteSpan key) const {
@@ -34,34 +36,9 @@ size_t AdsSp::LowerBound(ByteSpan key) const {
   return static_cast<size_t>(it - records_.begin());
 }
 
-void AdsSp::RebuildTree() {
-  std::vector<Hash256> leaves;
-  leaves.reserve(records_.size());
-  for (const auto& r : records_) leaves.push_back(r.LeafHash());
-  tree_.Rebuild(std::move(leaves));
-}
-
 void AdsSp::PersistRecord(const FeedRecord& record) {
   // The KVStore persists the canonical encoding keyed by the record key.
   (void)db_->Put(record.key, record.Serialize());
-}
-
-Result<Hash256> AdsSp::ApplyPut(const FeedRecord& record) {
-  const size_t pos = LowerBound(record.key);
-  if (pos < records_.size() && Compare(records_[pos].key, record.key) == 0) {
-    records_[pos] = record;
-    tree_.SetLeaf(pos, record.LeafHash());
-  } else if (pos == records_.size()) {
-    records_.push_back(record);
-    tree_.Append(record.LeafHash());
-  } else {
-    // Mid-array insert: rebuild (rare — feeds preload their key space or
-    // append in key order).
-    records_.insert(records_.begin() + static_cast<long>(pos), record);
-    RebuildTree();
-  }
-  PersistRecord(record);
-  return tree_.Root();
 }
 
 Result<Hash256> AdsSp::ApplyPutBatch(const std::vector<FeedRecord>& records) {
@@ -127,8 +104,14 @@ Status AdsSp::ApplyDelete(ByteSpan key) {
   if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
     return Status::NotFound("ApplyDelete: no such key");
   }
+  // Every leaf after the deleted one shifts down by one: splice the tail.
+  std::vector<Hash256> tail;
+  tail.reserve(records_.size() - pos - 1);
+  for (size_t i = pos + 1; i < records_.size(); ++i) {
+    tail.push_back(tree_.Leaf(i));
+  }
   records_.erase(records_.begin() + static_cast<long>(pos));
-  RebuildTree();
+  tree_.ReplaceSuffix(pos, tail);
   (void)db_->Delete(key);
   return Status::Ok();
 }

@@ -31,18 +31,15 @@ class AdsSp {
   /// construction — an SP process restart keeps serving the same root.
   explicit AdsSp(const std::string& db_path = "");
 
-  /// Applies a DO-sent update: insert (new key) or overwrite (value and/or
-  /// replication state). Returns the new root.
-  Result<Hash256> ApplyPut(const FeedRecord& record);
-
-  /// Applies a whole update batch (arrival order, last write per key wins)
-  /// and persists every record. Returns the new root. Overwrites ahead of
-  /// the first insert are in-place leaf writes; from the first insert on,
-  /// the shifted tail is spliced in, reusing the tree's leaf hashes for
-  /// unchanged records, and only the dirty paths are rehashed (a full
-  /// rebuild only when capacity grows). Every received record is hashed
-  /// by the SP itself. The final tree is identical to applying the puts one
-  /// by one — same leaves, same capacity (bit_ceil).
+  /// Applies a DO-sent update batch — inserts (new keys) and overwrites
+  /// (value and/or replication state), arrival order, last write per key
+  /// wins — and persists every record. Returns the new root. Overwrites
+  /// ahead of the first insert are in-place leaf writes; from the first
+  /// insert on, the shifted tail is spliced in, reusing the tree's leaf
+  /// hashes for unchanged records, and only the dirty paths are rehashed (a
+  /// full rebuild only when capacity grows). Every received record is hashed
+  /// by the SP itself. The final tree is the one a fresh tree over the merged
+  /// records would build — same leaves, same capacity (bit_ceil).
   Result<Hash256> ApplyPutBatch(const std::vector<FeedRecord>& records);
 
   /// Bootstrap load: ApplyPutBatch without the root hand-back (preload path;
@@ -52,6 +49,7 @@ class AdsSp {
   }
 
   /// Removes a key entirely (rare; the feeds overwrite rather than delete).
+  /// The shifted tail is spliced in; a rebuild only when capacity shrinks.
   Status ApplyDelete(ByteSpan key);
 
   Hash256 Root() const { return tree_.Root(); }
@@ -112,12 +110,11 @@ class AdsSp {
   /// Rebuilds the tree over forged data (fork attack — on-chain root pins
   /// the honest version, so delivered proofs fail against it).
   void ForkForTesting(ByteSpan key, ByteSpan forged_value);
-  /// Drops a record and rebuilds (omission attack).
+  /// Drops a record from array and tree alike (omission attack).
   void OmitForTesting(ByteSpan key);
 
  private:
   size_t LowerBound(ByteSpan key) const;
-  void RebuildTree();
   void PersistRecord(const FeedRecord& record);
 
   struct BytesLess {

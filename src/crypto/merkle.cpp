@@ -148,14 +148,6 @@ void MerkleTree::RecomputeSpan(size_t lo, size_t hi) {
   }
 }
 
-size_t MerkleTree::Append(const Hash256& hash) {
-  // O(log n) while capacity lasts; a full tree doubles through Rebuild, so
-  // amortized O(log n) per append.
-  const size_t index = leaf_count_;
-  ReplaceSuffix(index, {&hash, 1});
-  return index;
-}
-
 MerkleProof MerkleTree::ProveLeaf(size_t index) const {
   if (index >= Capacity()) {
     throw std::out_of_range("MerkleTree::ProveLeaf: index out of range");

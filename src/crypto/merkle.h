@@ -17,16 +17,15 @@
 //    the trusted DO) yields query *completeness*: omitting a matching record
 //    or injecting an extra one changes the recomputed root.
 //
-// Structural mutations: SetLeaf is O(log n); Append grows capacity by
-// doubling (amortized O(log n)). Batches go through SetLeaves (k scattered
-// leaf writes; every dirty ancestor is hashed exactly once, level by level,
-// so shared ancestors cost one hash, not one per leaf) and ReplaceSuffix (a
-// sorted insert splices every leaf from the first insert position onward;
-// only the inner nodes whose span meets the changed range are rehashed).
-// Rebuild — every inner node rehashed — is left for the first load and for
-// a capacity change (bit_ceil of the leaf count moves), where the tree shape
-// itself changes. Every path yields the tree a fresh MerkleTree(leaves)
-// would build, bit for bit.
+// Structural mutations: SetLeaf is O(log n). Batches go through SetLeaves
+// (k scattered leaf writes; every dirty ancestor is hashed exactly once,
+// level by level, so shared ancestors cost one hash, not one per leaf) and
+// ReplaceSuffix (a sorted insert or a delete splices every leaf from the
+// first changed position onward; only the inner nodes whose span meets the
+// changed range are rehashed). Rebuild — every inner node rehashed — is left
+// for the first load, SP crash recovery and a capacity change (bit_ceil of
+// the leaf count moves), where the tree shape itself changes. Every path
+// yields the tree a fresh MerkleTree(leaves) would build, bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -100,9 +99,6 @@ class MerkleTree {
   /// changed leaf range are rehashed; a capacity change falls back to
   /// Rebuild. Throws std::out_of_range if first > LeafCount().
   void ReplaceSuffix(size_t first, std::span<const Hash256> suffix);
-
-  /// Appends a leaf, doubling capacity when full. Returns the new index.
-  size_t Append(const Hash256& hash);
 
   /// Discards the structure and rebuilds from scratch.
   void Rebuild(std::vector<Hash256> leaves);

@@ -170,39 +170,34 @@ ShardedAdsDo::ShardedAdsDo(ShardMap map, Bytes signing_key)
   for (size_t s = 0; s < map_.Count(); ++s) dos_.emplace_back(signing_key);
 }
 
-Status ShardedAdsDo::VerifiedPut(ShardedAdsSp& sp,
-                                 const ads::FeedRecord& record) {
-  const uint32_t s = map_.ShardOf(record.key);
-  Status status = dos_[s].VerifiedPut(sp.Shard(s), record);
-  if (status.ok()) touched_.insert(s);
-  return status;
-}
-
-Status ShardedAdsDo::VerifiedBatchPut(
-    ShardedAdsSp& sp, uint32_t s,
-    const std::vector<ads::FeedRecord>& records) {
-  if (records.empty()) return Status::Ok();
-  for (const auto& record : records) {
-    if (map_.ShardOf(record.key) != s) {
-      return Status::InvalidArgument(
-          "VerifiedBatchPut: record outside its shard");
-    }
-  }
-  Status status = dos_[s].VerifiedBatchPut(sp.Shard(s), records);
-  if (status.ok()) touched_.insert(s);
-  return status;
-}
-
-void ShardedAdsDo::BulkLoad(ShardedAdsSp& sp,
-                            const std::vector<ads::FeedRecord>& records) {
+std::vector<std::vector<ads::FeedRecord>> ShardedAdsDo::Partition(
+    const std::vector<ads::FeedRecord>& records) const {
   std::vector<std::vector<ads::FeedRecord>> by_shard(map_.Count());
   for (const auto& record : records) {
     by_shard[map_.ShardOf(record.key)].push_back(record);
   }
-  for (size_t s = 0; s < by_shard.size(); ++s) {
+  return by_shard;
+}
+
+Status ShardedAdsDo::VerifiedBatchPut(
+    ShardedAdsSp& sp, const std::vector<ads::FeedRecord>& records) {
+  const auto by_shard = Partition(records);
+  for (uint32_t s = 0; s < by_shard.size(); ++s) {
+    if (by_shard[s].empty()) continue;
+    Status status = dos_[s].VerifiedBatchPut(sp.Shard(s), by_shard[s]);
+    if (!status.ok()) return status;
+    touched_.insert(s);
+  }
+  return Status::Ok();
+}
+
+void ShardedAdsDo::BulkLoad(ShardedAdsSp& sp,
+                            const std::vector<ads::FeedRecord>& records) {
+  const auto by_shard = Partition(records);
+  for (uint32_t s = 0; s < by_shard.size(); ++s) {
     if (by_shard[s].empty()) continue;
     dos_[s].BulkLoad(sp.Shard(s), by_shard[s]);
-    touched_.insert(static_cast<uint32_t>(s));
+    touched_.insert(s);
   }
 }
 

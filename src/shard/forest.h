@@ -18,20 +18,24 @@
 // off-chain form: shard-root inclusion in the rollup + record inclusion in
 // the shard tree.
 //
-// Batch protocol. Per-shard gPut batches skip the per-record SP pre-proof of
-// the legacy VerifiedPut: the DO applies the whole batch to its own mirror,
-// the SP applies the same batch, and the roots must agree afterwards. Both
-// sides rehash dirty paths only (in-place leaf writes for overwrites, a
-// suffix splice from the first insert), so root equality checks the SP's
-// TREE: the changed leaves, which the SP hashes from the records it
-// received, combined with every other node it holds — a forked tree
-// diverges even on keys outside the batch. It does NOT re-hash the records
-// the SP stores: a value forged beneath an honest leaf hash survives the
-// batch and is caught where it is served, because every served proof
-// recomputes its leaf from the delivered record and verifies it against
-// the shard root (ads/verify.h, the on-chain deliver check). Served-proof
-// verification remains the integrity guarantee. The single-shard path keeps
-// the legacy per-record protocol untouched.
+// Batch protocol. Every verified write is a per-shard batch through
+// AdsDo::VerifiedBatchPut, on every shard count: the forest routes each
+// record to its shard by the ShardMap, and per touched shard the SP first
+// proves, against that shard's pre-batch root, what the root commits to
+// for every key the batch writes (membership at the DO's index for an
+// existing key, absence for a new one); only then do both sides apply the
+// batch — dirty paths only, in-place leaf writes for overwrites, a suffix
+// splice from the first insert — and the roots must agree. The pre-proofs
+// catch a forked or omitted record the batch is about to overwrite; root
+// equality afterwards checks the rest of the SP's TREE, since the changed
+// leaves, which the SP hashes from the records it received, are combined
+// with every other node it holds. Neither re-hashes every record the SP
+// stores: a value forged beneath an honest leaf hash outside the proof
+// windows survives the batch and is caught where it is served, because
+// every served proof recomputes its leaf from the delivered record and
+// verifies it against the shard root (ads/verify.h, the on-chain deliver
+// check).
+// Served-proof verification remains the integrity guarantee.
 #pragma once
 
 #include <functional>
@@ -120,14 +124,12 @@ class ShardedAdsDo {
 
   const ShardMap& Map() const { return map_; }
 
-  /// Legacy verified update, routed to the record's shard (per-record SP
-  /// proof round-trip; the single-shard path is the unchanged protocol).
-  Status VerifiedPut(ShardedAdsSp& sp, const ads::FeedRecord& record);
-
-  /// Per-shard batch: applies `records` (arrival order, last write per key
-  /// wins) to shard `s` on both sides, rehashing dirty paths only, then
-  /// compares roots. Records must all map to shard `s`.
-  Status VerifiedBatchPut(ShardedAdsSp& sp, uint32_t s,
+  /// The verified update: partitions `records` (arrival order, last write
+  /// per key wins) by shard and runs AdsDo::VerifiedBatchPut on each
+  /// touched shard in shard order. The first rejected shard stops the call
+  /// and its status is returned; that shard and the ones after it are left
+  /// untouched, the ones before it stay applied.
+  Status VerifiedBatchPut(ShardedAdsSp& sp,
                           const std::vector<ads::FeedRecord>& records);
 
   /// Bootstrap load: partitions records by shard and bulk-loads each side
@@ -147,6 +149,10 @@ class ShardedAdsDo {
   std::vector<uint32_t> TakeTouchedShards();
 
  private:
+  /// `records` split by owning shard, arrival order kept within a shard.
+  std::vector<std::vector<ads::FeedRecord>> Partition(
+      const std::vector<ads::FeedRecord>& records) const;
+
   ShardMap map_;  // owned copy: callers may pass temporaries
   MacSigner signer_;
   std::vector<ads::AdsDo> dos_;

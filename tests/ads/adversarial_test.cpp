@@ -14,11 +14,12 @@ using workload::MakeKey;
 
 struct Fixture {
   Fixture() : ads_do(ToBytes("do-key")) {
+    std::vector<FeedRecord> records;
     for (uint64_t i = 0; i < 8; ++i) {
-      FeedRecord record{MakeKey(i), ToBytes("value" + std::to_string(i)),
-                        ReplState::kNR};
-      ads_do.UnverifiedPut(sp, record);
+      records.push_back(FeedRecord{
+          MakeKey(i), ToBytes("value" + std::to_string(i)), ReplState::kNR});
     }
+    ads_do.BulkLoad(sp, records);
     honest_root = ads_do.Root();
   }
 
@@ -65,7 +66,7 @@ TEST(Adversarial, ReplayedStaleProofFailsAfterUpdate) {
   ASSERT_TRUE(stale.ok());
   // The DO publishes an update; the old proof replays against the new root.
   FeedRecord fresh{MakeKey(2), ToBytes("fresh"), ReplState::kNR};
-  ASSERT_TRUE(f.ads_do.VerifiedPut(f.sp, fresh).ok());
+  ASSERT_TRUE(f.ads_do.VerifiedBatchPut(f.sp, {fresh}).ok());
   EXPECT_FALSE(VerifyQuery(f.ads_do.Root(), *stale));
 }
 
@@ -128,17 +129,25 @@ TEST(Adversarial, DoDetectsDivergenceDuringVerifiedPut) {
   Fixture f;
   f.sp.ForkForTesting(MakeKey(1), ToBytes("FORGED"));
   // The DO's verified update protocol (w1) must refuse to proceed.
+  // The write would overwrite the forged leaf, so only the per-key pre-proof
+  // against the pre-batch root can see the fork; the DO mutates nothing.
+  const Hash256 forked_root = f.sp.Root();
   FeedRecord update{MakeKey(1), ToBytes("legit"), ReplState::kNR};
-  Status s = f.ads_do.VerifiedPut(f.sp, update);
+  Status s = f.ads_do.VerifiedBatchPut(f.sp, {update});
   EXPECT_EQ(s.code(), StatusCode::kIntegrityViolation);
+  EXPECT_EQ(f.ads_do.Root(), f.honest_root);
+  EXPECT_EQ(f.sp.Root(), forked_root);
 }
 
 TEST(Adversarial, DoDetectsOmissionDuringVerifiedPut) {
   Fixture f;
   f.sp.OmitForTesting(MakeKey(1));
+  const Hash256 omitted_root = f.sp.Root();
   FeedRecord update{MakeKey(1), ToBytes("legit"), ReplState::kNR};
-  Status s = f.ads_do.VerifiedPut(f.sp, update);
+  Status s = f.ads_do.VerifiedBatchPut(f.sp, {update});
   EXPECT_EQ(s.code(), StatusCode::kIntegrityViolation);
+  EXPECT_EQ(f.ads_do.Root(), f.honest_root);
+  EXPECT_EQ(f.sp.Root(), omitted_root);
 }
 
 TEST(Adversarial, RecordStateBitCannotBeFlippedInTransit) {

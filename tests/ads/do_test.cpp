@@ -3,6 +3,7 @@
 
 #include "ads/do.h"
 #include "ads/verify.h"
+#include "telemetry/profile.h"
 #include "workload/trace.h"
 
 namespace grub::ads {
@@ -10,13 +11,18 @@ namespace {
 
 using workload::MakeKey;
 
+FeedRecord Rec(uint64_t i, const std::string& value,
+               ReplState state = ReplState::kNR) {
+  return FeedRecord{MakeKey(i), ToBytes(value), state};
+}
+
 TEST(AdsDo, RootMatchesSpAfterVerifiedPuts) {
   AdsSp sp;
   AdsDo ads_do(ToBytes("k"));
   for (uint64_t i = 0; i < 20; ++i) {
-    FeedRecord record{MakeKey(i), ToBytes("v" + std::to_string(i)),
-                      ReplState::kNR};
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, record).ok()) << i;
+    ASSERT_TRUE(
+        ads_do.VerifiedBatchPut(sp, {Rec(i, "v" + std::to_string(i))}).ok())
+        << i;
     ASSERT_EQ(ads_do.Root(), sp.Root()) << i;
   }
   EXPECT_EQ(ads_do.RecordCount(), 20u);
@@ -25,12 +31,9 @@ TEST(AdsDo, RootMatchesSpAfterVerifiedPuts) {
 TEST(AdsDo, VerifiedOverwriteKeepsRootsAligned) {
   AdsSp sp;
   AdsDo ads_do(ToBytes("k"));
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(1, "old")}).ok());
   ASSERT_TRUE(
-      ads_do.VerifiedPut(sp, {MakeKey(1), ToBytes("old"), ReplState::kNR})
-          .ok());
-  ASSERT_TRUE(
-      ads_do.VerifiedPut(sp, {MakeKey(1), ToBytes("new"), ReplState::kR})
-          .ok());
+      ads_do.VerifiedBatchPut(sp, {Rec(1, "new", ReplState::kR)}).ok());
   EXPECT_EQ(ads_do.Root(), sp.Root());
   EXPECT_EQ(ads_do.RecordCount(), 1u);
   EXPECT_EQ(sp.Peek(MakeKey(1))->value, ToBytes("new"));
@@ -41,8 +44,7 @@ TEST(AdsDo, OutOfOrderVerifiedInsertsWork) {
   AdsSp sp;
   AdsDo ads_do(ToBytes("k"));
   for (uint64_t i : {9, 2, 7, 0, 5, 3, 8, 1, 6, 4}) {
-    FeedRecord record{MakeKey(i), ToBytes("v"), ReplState::kNR};
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, record).ok()) << i;
+    ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(i, "v")}).ok()) << i;
     ASSERT_EQ(ads_do.Root(), sp.Root()) << i;
   }
   // Every record provable against the shared root.
@@ -54,16 +56,61 @@ TEST(AdsDo, OutOfOrderVerifiedInsertsWork) {
 TEST(AdsDo, VerifiedDeleteRealignsRoots) {
   AdsSp sp;
   AdsDo ads_do(ToBytes("k"));
-  for (uint64_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(
-        ads_do.VerifiedPut(sp, {MakeKey(i), ToBytes("v"), ReplState::kNR})
-            .ok());
-  }
+  std::vector<FeedRecord> records;
+  for (uint64_t i = 0; i < 6; ++i) records.push_back(Rec(i, "v"));
+  ads_do.BulkLoad(sp, records);
   ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(3)).ok());
   EXPECT_EQ(ads_do.Root(), sp.Root());
   EXPECT_EQ(ads_do.RecordCount(), 5u);
   EXPECT_FALSE(sp.Get(MakeKey(3)).ok());
 }
+
+TEST(AdsDo, DeleteSpliceMatchesFreshLoad) {
+  // Deleting at every position, from sizes that keep the capacity (6 -> 5)
+  // and that halve it (5 -> 4, 2 -> 1), lands both sides on the tree a fresh
+  // load of the surviving records builds.
+  for (uint64_t n : {2u, 5u, 6u}) {
+    for (uint64_t victim = 0; victim < n; ++victim) {
+      SCOPED_TRACE(std::to_string(n) + " records, delete " +
+                   std::to_string(victim));
+      std::vector<FeedRecord> records, survivors;
+      for (uint64_t i = 0; i < n; ++i) {
+        records.push_back(Rec(i, "v" + std::to_string(i)));
+        if (i != victim) survivors.push_back(records.back());
+      }
+      AdsSp sp;
+      AdsDo ads_do(ToBytes("k"));
+      ads_do.BulkLoad(sp, records);
+      ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(victim)).ok());
+      AdsSp fresh;
+      fresh.BulkLoad(survivors);
+      EXPECT_EQ(ads_do.Root(), fresh.Root());
+      EXPECT_EQ(sp.Root(), fresh.Root());
+      EXPECT_EQ(sp.Capacity(), fresh.Capacity());
+    }
+  }
+}
+
+#if GRUB_TELEMETRY
+TEST(AdsDo, CapacityPreservingDeleteRebuildsNoTree) {
+  // 12 records -> 11 keeps capacity 16: both sides splice the tail.
+  AdsSp sp;
+  AdsDo ads_do(ToBytes("k"));
+  std::vector<FeedRecord> records;
+  for (uint64_t i = 0; i < 12; ++i) records.push_back(Rec(i, "v"));
+  ads_do.BulkLoad(sp, records);
+  telemetry::ProfileRegistry::Reset();
+  telemetry::ProfileRegistry::Enable(true);
+  ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(4)).ok());
+  const uint64_t rebuilds =
+      telemetry::ProfileRegistry::Snapshot()[static_cast<size_t>(
+          telemetry::ProbeSite::kMerkleRebuild)].count;
+  telemetry::ProfileRegistry::Enable(false);
+  EXPECT_EQ(rebuilds, 0u);
+  EXPECT_EQ(ads_do.Root(), sp.Root());
+  EXPECT_EQ(sp.Capacity(), 16u);
+}
+#endif
 
 TEST(AdsDo, DeleteOfUnknownKeyIsNotFound) {
   AdsSp sp;
@@ -75,7 +122,7 @@ TEST(AdsDo, DeleteOfUnknownKeyIsNotFound) {
 TEST(AdsDo, SignedRootsCarryEpochFreshness) {
   AdsSp sp;
   AdsDo ads_do(ToBytes("signing-key"));
-  ads_do.UnverifiedPut(sp, {MakeKey(1), ToBytes("v"), ReplState::kNR});
+  ads_do.BulkLoad(sp, {Rec(1, "v")});
   Signature epoch5 = ads_do.SignRoot(5);
   MacVerifier verifier(ads_do.VerificationKey());
   EXPECT_TRUE(verifier.Verify(ads_do.Root(), epoch5, 5));
@@ -86,14 +133,13 @@ TEST(AdsDo, MixedVerifiedAndBootstrapLoadsAgree) {
   // Bulk bootstrap then verified updates: the mirror stays consistent.
   AdsSp sp;
   AdsDo ads_do(ToBytes("k"));
-  for (uint64_t i = 0; i < 50; ++i) {
-    ads_do.UnverifiedPut(sp, {MakeKey(i), ToBytes("seed"), ReplState::kNR});
-  }
+  std::vector<FeedRecord> seed;
+  for (uint64_t i = 0; i < 50; ++i) seed.push_back(Rec(i, "seed"));
+  ads_do.BulkLoad(sp, seed);
   ASSERT_EQ(ads_do.Root(), sp.Root());
   for (uint64_t i = 0; i < 50; i += 7) {
     ASSERT_TRUE(
-        ads_do.VerifiedPut(sp, {MakeKey(i), ToBytes("fresh"), ReplState::kR})
-            .ok());
+        ads_do.VerifiedBatchPut(sp, {Rec(i, "fresh", ReplState::kR)}).ok());
   }
   EXPECT_EQ(ads_do.Root(), sp.Root());
 }

@@ -32,11 +32,12 @@ TEST_F(SpRecoveryTest, RootSurvivesRestart) {
   Hash256 root_before;
   {
     AdsSp sp(dir_);
+    std::vector<FeedRecord> load;
     for (uint64_t i = 0; i < 16; ++i) {
-      ASSERT_TRUE(sp.ApplyPut({MakeKey(i), ToBytes("v" + std::to_string(i)),
-                               i % 3 ? ReplState::kNR : ReplState::kR})
-                      .ok());
+      load.push_back({MakeKey(i), ToBytes("v" + std::to_string(i)),
+                      i % 3 ? ReplState::kNR : ReplState::kR});
     }
+    sp.BulkLoad(load);
     root_before = sp.Root();
   }  // SP "crashes"
 
@@ -55,11 +56,14 @@ TEST_F(SpRecoveryTest, RootSurvivesRestart) {
 TEST_F(SpRecoveryTest, UpdatesAfterRecoveryKeepWorking) {
   {
     AdsSp sp(dir_);
-    ASSERT_TRUE(sp.ApplyPut({MakeKey(1), ToBytes("one"), ReplState::kNR}).ok());
+    ASSERT_TRUE(
+        sp.ApplyPutBatch({{MakeKey(1), ToBytes("one"), ReplState::kNR}}).ok());
   }
   AdsSp sp(dir_);
-  ASSERT_TRUE(sp.ApplyPut({MakeKey(2), ToBytes("two"), ReplState::kNR}).ok());
-  ASSERT_TRUE(sp.ApplyPut({MakeKey(1), ToBytes("ONE"), ReplState::kR}).ok());
+  ASSERT_TRUE(
+      sp.ApplyPutBatch({{MakeKey(2), ToBytes("two"), ReplState::kNR}}).ok());
+  ASSERT_TRUE(
+      sp.ApplyPutBatch({{MakeKey(1), ToBytes("ONE"), ReplState::kR}}).ok());
   EXPECT_EQ(sp.Peek(MakeKey(1))->value, ToBytes("ONE"));
   EXPECT_TRUE(VerifyQuery(sp.Root(), *sp.Get(MakeKey(2))));
 }
@@ -99,15 +103,22 @@ TEST_F(SpRecoveryTest, IncrementalBatchesSurviveRestart) {
 }
 
 TEST_F(SpRecoveryTest, DeletesSurviveRestart) {
+  // The delete splices the tree's tail; the reopened SP rebuilds from the
+  // store and must land on the same root.
+  Hash256 root_before;
   {
     AdsSp sp(dir_);
+    std::vector<FeedRecord> load;
     for (uint64_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(sp.ApplyPut({MakeKey(i), ToBytes("v"), ReplState::kNR}).ok());
+      load.push_back({MakeKey(i), ToBytes("v"), ReplState::kNR});
     }
+    sp.BulkLoad(load);
     ASSERT_TRUE(sp.ApplyDelete(MakeKey(2)).ok());
+    root_before = sp.Root();
   }
   AdsSp sp(dir_);
   EXPECT_EQ(sp.RecordCount(), 3u);
+  EXPECT_EQ(sp.Root(), root_before);
   EXPECT_FALSE(sp.Get(MakeKey(2)).ok());
   auto absence = sp.ProveAbsent(MakeKey(2));
   ASSERT_TRUE(absence.ok());

@@ -17,8 +17,8 @@ FeedRecord Rec(uint64_t i, const char* value, ReplState state = ReplState::kNR) 
 
 TEST(AdsSp, PutThenProvenGet) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "one")).ok());
-  ASSERT_TRUE(sp.ApplyPut(Rec(2, "two")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "one")}).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(2, "two")}).ok());
   auto proof = sp.Get(MakeKey(1));
   ASSERT_TRUE(proof.ok());
   EXPECT_EQ(proof->record.value, ToBytes("one"));
@@ -27,9 +27,9 @@ TEST(AdsSp, PutThenProvenGet) {
 
 TEST(AdsSp, OverwriteUpdatesRootAndProof) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "old")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "old")}).ok());
   const Hash256 old_root = sp.Root();
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "new")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "new")}).ok());
   EXPECT_NE(sp.Root(), old_root);
   auto proof = sp.Get(MakeKey(1));
   ASSERT_TRUE(proof.ok());
@@ -41,17 +41,17 @@ TEST(AdsSp, OverwriteUpdatesRootAndProof) {
 
 TEST(AdsSp, StateFlipChangesRoot) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "v", ReplState::kNR)).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "v", ReplState::kNR)}).ok());
   const Hash256 nr_root = sp.Root();
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "v", ReplState::kR)).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "v", ReplState::kR)}).ok());
   EXPECT_NE(sp.Root(), nr_root);  // the state bit is authenticated
 }
 
 TEST(AdsSp, OutOfOrderInsertsKeepKeySortedProofs) {
   AdsSp sp;
-  // Insert in shuffled order: forces the mid-array rebuild path.
+  // Insert in shuffled order, one batch each: forces the mid-array splice.
   for (uint64_t i : {5, 1, 9, 3, 7, 2, 8, 4, 6, 0}) {
-    ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+    ASSERT_TRUE(sp.ApplyPutBatch({Rec(i, "v")}).ok());
   }
   for (uint64_t i = 0; i < 10; ++i) {
     auto proof = sp.Get(MakeKey(i));
@@ -62,7 +62,9 @@ TEST(AdsSp, OutOfOrderInsertsKeepKeySortedProofs) {
 
 TEST(AdsSp, DeleteRemovesAndReproves) {
   AdsSp sp;
-  for (uint64_t i = 0; i < 5; ++i) ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+  std::vector<FeedRecord> records;
+  for (uint64_t i = 0; i < 5; ++i) records.push_back(Rec(i, "v"));
+  sp.BulkLoad(records);
   ASSERT_TRUE(sp.ApplyDelete(MakeKey(2)).ok());
   EXPECT_FALSE(sp.Get(MakeKey(2)).ok());
   auto absence = sp.ProveAbsent(MakeKey(2));
@@ -77,7 +79,7 @@ TEST(AdsSp, DeleteRemovesAndReproves) {
 TEST(AdsSp, AbsenceProofsAtEveryPosition) {
   AdsSp sp;
   // Keys 10, 20, 30: probe below, between each pair, and above.
-  for (uint64_t i : {10, 20, 30}) ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+  sp.BulkLoad({Rec(10, "v"), Rec(20, "v"), Rec(30, "v")});
   for (uint64_t probe : {5, 15, 25, 35}) {
     auto absence = sp.ProveAbsent(MakeKey(probe));
     ASSERT_TRUE(absence.ok()) << probe;
@@ -94,9 +96,7 @@ TEST(AdsSp, AbsenceOnEmptyStore) {
 
 TEST(AdsSp, AbsenceOnFullPowerOfTwoTree) {
   AdsSp sp;
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sp.ApplyPut(Rec(i * 10, "v")).ok());
-  }
+  sp.BulkLoad({Rec(0, "v"), Rec(10, "v"), Rec(20, "v"), Rec(30, "v")});
   ASSERT_EQ(sp.Capacity(), 4u);  // tree exactly full: no padding leaf
   auto tail = sp.ProveAbsent(MakeKey(99));
   ASSERT_TRUE(tail.ok());
@@ -108,15 +108,15 @@ TEST(AdsSp, AbsenceOnFullPowerOfTwoTree) {
 
 TEST(AdsSp, ProveAbsentRefusesExistingKey) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "v")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "v")}).ok());
   EXPECT_FALSE(sp.ProveAbsent(MakeKey(1)).ok());
 }
 
 TEST(AdsSp, ScanProofsCoverAllWindows) {
   AdsSp sp;
-  for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(sp.ApplyPut(Rec(i * 10, "v")).ok());
-  }
+  std::vector<FeedRecord> records;
+  for (uint64_t i = 0; i < 10; ++i) records.push_back(Rec(i * 10, "v"));
+  sp.BulkLoad(records);
   struct Case {
     uint64_t start, end;
     size_t expected;
@@ -138,7 +138,9 @@ TEST(AdsSp, ScanProofsCoverAllWindows) {
 
 TEST(AdsSp, UnboundedScanVerifies) {
   AdsSp sp;
-  for (uint64_t i = 0; i < 6; ++i) ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+  std::vector<FeedRecord> records;
+  for (uint64_t i = 0; i < 6; ++i) records.push_back(Rec(i, "v"));
+  sp.BulkLoad(records);
   auto scan = sp.Scan(MakeKey(3), {});
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->records.size(), 3u);
@@ -155,7 +157,7 @@ TEST(AdsSp, ScanOnEmptyStoreVerifiesEmpty) {
 
 TEST(AdsSp, EffectiveStateFollowsAdvisoryThenRecord) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(1, "v", ReplState::kNR)).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "v", ReplState::kNR)}).ok());
   EXPECT_EQ(sp.EffectiveState(MakeKey(1)), ReplState::kNR);
   sp.SetAdvisoryState(MakeKey(1), ReplState::kR);
   EXPECT_EQ(sp.EffectiveState(MakeKey(1)), ReplState::kR);
@@ -165,9 +167,9 @@ TEST(AdsSp, EffectiveStateFollowsAdvisoryThenRecord) {
 
 TEST(AdsSp, ProofSizesGrowLogarithmically) {
   AdsSp sp;
-  for (uint64_t i = 0; i < 1024; ++i) {
-    ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
-  }
+  std::vector<FeedRecord> records;
+  for (uint64_t i = 0; i < 1024; ++i) records.push_back(Rec(i, "v"));
+  sp.BulkLoad(records);
   auto proof = sp.Get(MakeKey(512));
   ASSERT_TRUE(proof.ok());
   EXPECT_EQ(proof->path.siblings.size(), 10u);  // log2(1024)

@@ -61,7 +61,7 @@ TEST(VerifyEdge, EmptyStoreScanProvesEmptyGroup) {
 
 TEST(VerifyEdge, SingleLeafMembershipProof) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(5, "only")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(5, "only")}).ok());
   EXPECT_EQ(sp.RecordCount(), 1u);
   auto proof = sp.Get(MakeKey(5));
   ASSERT_TRUE(proof.ok());
@@ -75,7 +75,7 @@ TEST(VerifyEdge, SingleLeafMembershipProof) {
 
 TEST(VerifyEdge, SingleLeafAbsenceBothSides) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(5, "only")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(5, "only")}).ok());
   // Below the only record: window starts at index 0.
   auto below = sp.ProveAbsent(MakeKey(3));
   ASSERT_TRUE(below.ok());
@@ -90,7 +90,7 @@ TEST(VerifyEdge, SingleLeafAbsenceBothSides) {
 
 TEST(VerifyEdge, SingleLeafScans) {
   AdsSp sp;
-  ASSERT_TRUE(sp.ApplyPut(Rec(5, "only")).ok());
+  ASSERT_TRUE(sp.ApplyPutBatch({Rec(5, "only")}).ok());
   // Range containing the record.
   auto hit = sp.Scan(MakeKey(0), MakeKey(10));
   ASSERT_TRUE(hit.ok());
@@ -111,7 +111,7 @@ TEST(VerifyEdge, SingleLeafScans) {
 
 TEST(VerifyEdge, OutOfRangeAbsenceProofs) {
   AdsSp sp;
-  for (uint64_t i : {10, 20, 30}) ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+  sp.BulkLoad({Rec(10, "v"), Rec(20, "v"), Rec(30, "v")});
   // Below every record and above every record.
   for (uint64_t probe : {0ull, 9ull, 31ull, 999999ull}) {
     auto absence = sp.ProveAbsent(MakeKey(probe));
@@ -129,7 +129,7 @@ TEST(VerifyEdge, OutOfRangeAbsenceProofs) {
 
 TEST(VerifyEdge, OutOfRangeScansAreEmptyButComplete) {
   AdsSp sp;
-  for (uint64_t i : {10, 20, 30}) ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+  sp.BulkLoad({Rec(10, "v"), Rec(20, "v"), Rec(30, "v")});
   // Entirely below the stored range: right neighbour proves completeness.
   auto below = sp.Scan(MakeKey(0), MakeKey(10));
   ASSERT_TRUE(below.ok());
@@ -148,7 +148,7 @@ TEST(VerifyEdge, OutOfRangeScansAreEmptyButComplete) {
 
 TEST(VerifyEdge, ScanProofDoesNotTransplantAcrossRanges) {
   AdsSp sp;
-  for (uint64_t i : {10, 20, 30}) ASSERT_TRUE(sp.ApplyPut(Rec(i, "v")).ok());
+  sp.BulkLoad({Rec(10, "v"), Rec(20, "v"), Rec(30, "v")});
   auto scan = sp.Scan(MakeKey(10), MakeKey(21));
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->records.size(), 2u);

@@ -109,19 +109,6 @@ TEST(Merkle, SetLeafMatchesRebuild) {
   }
 }
 
-TEST(Merkle, AppendMatchesRebuild) {
-  std::vector<Hash256> leaves;
-  MerkleTree incremental;
-  for (size_t i = 0; i < 40; ++i) {
-    leaves.push_back(Hash256::FromU64(i + 5));
-    const size_t index = incremental.Append(leaves.back());
-    EXPECT_EQ(index, i);
-    MerkleTree rebuilt(leaves);
-    ASSERT_EQ(incremental.Root(), rebuilt.Root()) << "append " << i;
-    ASSERT_EQ(incremental.Capacity(), rebuilt.Capacity());
-  }
-}
-
 // --- batched updates: SetLeaves / ReplaceSuffix ---
 
 // Holds `tree` to the tree a fresh MerkleTree(leaves) builds: leaf count,

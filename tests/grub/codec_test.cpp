@@ -14,20 +14,24 @@ using workload::MakeKey;
 
 ads::QueryProof SampleQueryProof() {
   ads::AdsSp sp;
+  std::vector<ads::FeedRecord> records;
   for (uint64_t i = 0; i < 9; ++i) {
-    (void)sp.ApplyPut(
+    records.push_back(
         ads::FeedRecord{MakeKey(i), Bytes(40, static_cast<uint8_t>(i)),
                         i % 2 ? ads::ReplState::kR : ads::ReplState::kNR});
   }
+  sp.BulkLoad(records);
   return sp.Get(MakeKey(4)).value();
 }
 
 ads::AbsenceProof SampleAbsenceProof() {
   ads::AdsSp sp;
+  std::vector<ads::FeedRecord> records;
   for (uint64_t i = 0; i < 5; ++i) {
-    (void)sp.ApplyPut(
+    records.push_back(
         ads::FeedRecord{MakeKey(i * 2), ToBytes("v"), ads::ReplState::kNR});
   }
+  sp.BulkLoad(records);
   return sp.ProveAbsent(MakeKey(5)).value();
 }
 

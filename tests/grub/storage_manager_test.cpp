@@ -25,10 +25,12 @@ struct Fixture {
     consumer = consumer_ptr.get();
     consumer_address = chain.Deploy(std::move(consumer_ptr));
 
+    std::vector<ads::FeedRecord> records;
     for (uint64_t i = 0; i < 8; ++i) {
-      (void)sp.ApplyPut(ads::FeedRecord{MakeKey(i), Bytes(32, uint8_t(i + 1)),
+      records.push_back(ads::FeedRecord{MakeKey(i), Bytes(32, uint8_t(i + 1)),
                                         ads::ReplState::kNR});
     }
+    sp.BulkLoad(records);
     PublishRoot();
   }
 
@@ -131,8 +133,8 @@ TEST(StorageManager, DeliverAgainstStaleRootReverts) {
   Fixture f;
   auto stale_entry = f.EntryFor(MakeKey(1), false);
   // Root moves on after the proof was built.
-  (void)f.sp.ApplyPut(
-      ads::FeedRecord{MakeKey(1), Bytes(32, 0x99), ads::ReplState::kNR});
+  (void)f.sp.ApplyPutBatch(
+      {ads::FeedRecord{MakeKey(1), Bytes(32, 0x99), ads::ReplState::kNR}});
   f.PublishRoot();
   EXPECT_FALSE(f.Deliver({stale_entry}).ok());
 }
@@ -168,7 +170,7 @@ TEST(StorageManager, UpdateRefreshesReplicaValue) {
   Fixture f;
   ASSERT_TRUE(f.Deliver({f.EntryFor(MakeKey(3), true)}).ok());
   ads::FeedRecord fresh{MakeKey(3), Bytes(32, 0x77), ads::ReplState::kR};
-  (void)f.sp.ApplyPut(fresh);
+  (void)f.sp.ApplyPutBatch({fresh});
   ASSERT_TRUE(f.PublishRoot({fresh}, {}).ok());
   f.GGetTx(MakeKey(3));
   ASSERT_GE(f.consumer->values_received(), 2u);

@@ -62,9 +62,9 @@ TEST(RootOfRoots, SensitiveToEveryLeafAndToOrder) {
 TEST(RootOfRoots, RollupPathVerifiesForestQuery) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  for (uint64_t i = 0; i < 100; i += 10) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
-  }
+  std::vector<ads::FeedRecord> records;
+  for (uint64_t i = 0; i < 100; i += 10) records.push_back(Rec(i, "v"));
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, records).ok());
   std::vector<Hash256> roots;
   for (size_t s = 0; s < sp.ShardCount(); ++s) roots.push_back(sp.ShardRoot(s));
   const uint32_t shard = sp.Map().ShardOf(MakeKey(60));
@@ -87,8 +87,8 @@ TEST(Forest, SingleShardForestEqualsPlainTree) {
   ads::AdsSp plain;
   ShardedAdsDo ads_do{ShardMap(), ToBytes("key")};
   for (uint64_t i : {7, 2, 9, 4}) {
-    ASSERT_TRUE(ads_do.VerifiedPut(forest, Rec(i, "v")).ok());
-    ASSERT_TRUE(plain.ApplyPut(Rec(i, "v")).ok());
+    ASSERT_TRUE(ads_do.VerifiedBatchPut(forest, {Rec(i, "v")}).ok());
+    ASSERT_TRUE(plain.ApplyPutBatch({Rec(i, "v")}).ok());
   }
   EXPECT_EQ(forest.RootOfRoots(), plain.Root());
   EXPECT_EQ(forest.ShardRoot(0), plain.Root());
@@ -99,7 +99,7 @@ TEST(Forest, RoutedOperationsLandInMappedShard) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   for (uint64_t i = 0; i < 100; i += 5) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
+    ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(i, "v")}).ok());
   }
   EXPECT_EQ(sp.RecordCount(), 20u);
   EXPECT_EQ(ads_do.RecordCount(), 20u);
@@ -122,20 +122,20 @@ TEST(Forest, RoutedOperationsLandInMappedShard) {
 TEST(Forest, TouchedShardsTracksAndClears) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(10, "v")).ok());   // shard 0
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(80, "v")).ok());   // shard 3
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(12, "v2")).ok());  // shard 0 again
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(10, "v")}).ok());   // shard 0
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(80, "v")}).ok());   // shard 3
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(12, "v2")}).ok());  // shard 0
   EXPECT_EQ(ads_do.TakeTouchedShards(), (std::vector<uint32_t>{0, 3}));
   EXPECT_TRUE(ads_do.TakeTouchedShards().empty());  // cleared
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(30, "v")).ok());   // shard 1
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(30, "v")}).ok());   // shard 1
   EXPECT_EQ(ads_do.TakeTouchedShards(), (std::vector<uint32_t>{1}));
 }
 
-TEST(Forest, BatchPutMatchesPerRecordPuts) {
+TEST(Forest, BatchPutMatchesFreshLoad) {
   // A per-shard batch (in-place leaf writes for overwrites, a suffix splice
-  // from the first insert) must land on the same trees as the legacy
-  // per-record protocol — that equality is what lets batch roots stand in
-  // for per-record proofs. Shard 1 of FourWay() holds keys [25, 50).
+  // from the first insert) must land on the trees a fresh bulk load of the
+  // final record set builds — same leaves, same capacity. Shard 1 of
+  // FourWay() holds keys [25, 50).
   struct Case {
     const char* name;
     std::vector<ads::FeedRecord> preload;
@@ -163,52 +163,95 @@ TEST(Forest, BatchPutMatchesPerRecordPuts) {
     SCOPED_TRACE(c.name);
     ShardedAdsSp batch_sp(FourWay());
     ShardedAdsDo batch_do(FourWay(), ToBytes("key"));
-    ShardedAdsSp seq_sp(FourWay());
-    ShardedAdsDo seq_do(FourWay(), ToBytes("key"));
     batch_do.BulkLoad(batch_sp, c.preload);
-    seq_do.BulkLoad(seq_sp, c.preload);
+    ASSERT_TRUE(batch_do.VerifiedBatchPut(batch_sp, c.batch).ok());
+    // Reference: the final record set (preload, then the batch; last write
+    // per key wins) bulk-loaded into a fresh forest.
+    std::vector<ads::FeedRecord> final_set = c.preload;
+    final_set.insert(final_set.end(), c.batch.begin(), c.batch.end());
+    ShardedAdsSp fresh_sp(FourWay());
+    ShardedAdsDo fresh_do(FourWay(), ToBytes("key"));
+    fresh_do.BulkLoad(fresh_sp, final_set);
     const uint32_t s = 1;
-    ASSERT_TRUE(batch_do.VerifiedBatchPut(batch_sp, s, c.batch).ok());
-    for (const auto& r : c.batch) {
-      ASSERT_TRUE(seq_do.VerifiedPut(seq_sp, r).ok());
-    }
-    EXPECT_EQ(batch_sp.ShardRoot(s), seq_sp.ShardRoot(s));
-    EXPECT_EQ(batch_do.ShardRoot(s), seq_do.ShardRoot(s));
+    EXPECT_EQ(batch_sp.ShardRoot(s), fresh_sp.ShardRoot(s));
+    EXPECT_EQ(batch_do.ShardRoot(s), fresh_do.ShardRoot(s));
     EXPECT_EQ(batch_sp.ShardRoot(s), batch_do.ShardRoot(s));
-    EXPECT_EQ(batch_sp.Shard(s).Capacity(), seq_sp.Shard(s).Capacity());
-    EXPECT_EQ(batch_sp.RootOfRoots(), seq_sp.RootOfRoots());
+    EXPECT_EQ(batch_sp.Shard(s).Capacity(), fresh_sp.Shard(s).Capacity());
+    EXPECT_EQ(batch_sp.RootOfRoots(), fresh_sp.RootOfRoots());
     // Last write per key won, and every record still proves.
     for (const auto& r : c.batch) {
       auto proof = batch_sp.Get(r.key);
       ASSERT_TRUE(proof.ok());
-      EXPECT_EQ(proof->record, *seq_sp.Peek(r.key));
+      EXPECT_EQ(proof->record, *fresh_sp.Peek(r.key));
       EXPECT_TRUE(ads::VerifyQuery(batch_do.ShardRoot(s), *proof));
     }
   }
 }
 
 TEST(Forest, BatchPutDetectsSpDivergence) {
-  // Root equality covers the whole tree, not only the batch's leaves: a fork
-  // on a key the next batch never touches still diverges the roots — for an
-  // insert above the forked key, an overwrite-only batch (the fork sits
-  // off every dirty path), and an insert below it (the forked leaf rides the
-  // spliced tail).
+  // A fork anywhere in the shard's tree is caught, not only on the batch's
+  // keys: the SP builds the batch keys' pre-proofs from its forked tree, so
+  // they fail against the DO's pre-batch root — for an insert above the
+  // forked key, an overwrite-only batch (the fork sits off every dirty
+  // path), and an insert below it (the forked leaf would ride the spliced
+  // tail). Nothing is applied on either side.
   for (uint64_t batch_key : {36u, 40u, 26u}) {
     SCOPED_TRACE(batch_key);
     ShardedAdsSp sp(FourWay());
     ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
     ads_do.BulkLoad(sp, {Rec(30, "honest"), Rec(35, "v"), Rec(40, "v")});
+    const Hash256 do_root = ads_do.ShardRoot(1);
     sp.Shard(1).ForkForTesting(MakeKey(35), ToBytes("forged"));
-    // The next batch's root comparison catches the fork.
-    EXPECT_FALSE(
-        ads_do.VerifiedBatchPut(sp, 1, {Rec(batch_key, "new")}).ok());
+    const Hash256 sp_root = sp.ShardRoot(1);
+    EXPECT_EQ(ads_do.VerifiedBatchPut(sp, {Rec(batch_key, "new")}).code(),
+              StatusCode::kIntegrityViolation);
+    EXPECT_EQ(ads_do.ShardRoot(1), do_root);
+    EXPECT_EQ(sp.ShardRoot(1), sp_root);
+  }
+}
+
+TEST(Forest, BatchPutRejectsForkOrOmissionOfWrittenKey) {
+  // The batch overwrites the very key the SP forked or dropped, so the
+  // post-batch trees would agree again: only the per-key pre-proof against
+  // the pre-batch root sees the attack. It runs on every shard count,
+  // before either side mutates — shard 1 is rejected, and shard 2, which
+  // the batch also writes, is never applied.
+  enum class Attack { kFork, kOmit };
+  for (Attack attack : {Attack::kFork, Attack::kOmit}) {
+    SCOPED_TRACE(attack == Attack::kFork ? "fork" : "omit");
+    ShardedAdsSp sp(FourWay());
+    ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
+    std::vector<ads::FeedRecord> records;
+    for (uint64_t i = 0; i < 100; i += 5) records.push_back(Rec(i, "v"));
+    ads_do.BulkLoad(sp, records);
+    (void)ads_do.TakeTouchedShards();
+    if (attack == Attack::kFork) {
+      sp.Shard(1).ForkForTesting(MakeKey(35), ToBytes("forged"));
+    } else {
+      sp.Shard(1).OmitForTesting(MakeKey(35));
+    }
+    std::vector<Hash256> do_roots, sp_roots;
+    for (size_t s = 0; s < sp.ShardCount(); ++s) {
+      do_roots.push_back(ads_do.ShardRoot(s));
+      sp_roots.push_back(sp.ShardRoot(s));
+    }
+    EXPECT_EQ(
+        ads_do.VerifiedBatchPut(sp, {Rec(60, "new"), Rec(35, "honest")})
+            .code(),
+        StatusCode::kIntegrityViolation);
+    for (size_t s = 0; s < sp.ShardCount(); ++s) {
+      EXPECT_EQ(ads_do.ShardRoot(s), do_roots[s]) << "shard " << s;
+      EXPECT_EQ(sp.ShardRoot(s), sp_roots[s]) << "shard " << s;
+    }
+    EXPECT_TRUE(ads_do.TakeTouchedShards().empty());
   }
 }
 
 TEST(Forest, TamperedRecordRejectedWhenServedAfterIncrementalBatch) {
   // Detection boundary: a stored value forged WITHOUT touching the tree is
   // invisible to batch root equality (the SP reuses its tree's leaf hashes
-  // for records outside the batch), so the batch goes through — but the
+  // for records outside the batch) and to pre-proofs whose windows miss the
+  // record, so the batch goes through — but the
   // served proof recomputes the leaf from the forged record and fails the
   // hardened verify path against the DO's root.
   for (uint64_t batch_key : {40u, 26u}) {  // overwrite-only; splice below
@@ -217,7 +260,7 @@ TEST(Forest, TamperedRecordRejectedWhenServedAfterIncrementalBatch) {
     ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
     ads_do.BulkLoad(sp, {Rec(30, "honest"), Rec(35, "v"), Rec(40, "v")});
     sp.Shard(1).TamperValueForTesting(MakeKey(35), ToBytes("forged"));
-    ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, 1, {Rec(batch_key, "new")}).ok());
+    ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(batch_key, "new")}).ok());
     auto proof = sp.Get(MakeKey(35));
     ASSERT_TRUE(proof.ok());
     EXPECT_EQ(proof->record.value, ToBytes("forged"));
@@ -241,13 +284,11 @@ TEST(Forest, IncrementalBatchesRebuildNoTree) {
   };
   telemetry::ProfileRegistry::Reset();
   telemetry::ProfileRegistry::Enable(true);
-  ASSERT_TRUE(
-      ads_do.VerifiedBatchPut(sp, 1, {Rec(30, "o"), Rec(26, "o")}).ok());
-  ASSERT_TRUE(
-      ads_do.VerifiedBatchPut(sp, 1, {Rec(40, "i"), Rec(31, "o")}).ok());
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(30, "o"), Rec(26, "o")}).ok());
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(40, "i"), Rec(31, "o")}).ok());
   const uint64_t in_place = rebuilds();
   ASSERT_TRUE(ads_do.VerifiedBatchPut(
-      sp, 1, {Rec(41, "i"), Rec(42, "i"), Rec(43, "i"), Rec(44, "i")}).ok());
+      sp, {Rec(41, "i"), Rec(42, "i"), Rec(43, "i"), Rec(44, "i")}).ok());
   const uint64_t doubled = rebuilds();
   telemetry::ProfileRegistry::Enable(false);
   EXPECT_EQ(in_place, 0u);
@@ -263,7 +304,9 @@ TEST(Forest, BulkLoadEqualsIncrementalLoad) {
   std::vector<ads::FeedRecord> records;
   for (uint64_t i = 0; i < 100; i += 3) records.push_back(Rec(i, "v"));
   bulk_do.BulkLoad(bulk_sp, records);
-  for (const auto& r : records) ASSERT_TRUE(seq_do.VerifiedPut(seq_sp, r).ok());
+  for (const auto& r : records) {
+    ASSERT_TRUE(seq_do.VerifiedBatchPut(seq_sp, {r}).ok());
+  }
   EXPECT_EQ(bulk_sp.RootOfRoots(), seq_sp.RootOfRoots());
   EXPECT_EQ(bulk_do.RootOfRoots(), seq_do.RootOfRoots());
   // Bulk load touches every shard that received records.
@@ -276,9 +319,9 @@ TEST(Forest, BulkLoadEqualsIncrementalLoad) {
 TEST(ForestScan, SingleShardScanIsOnePart) {
   ShardedAdsSp sp{ShardMap()};
   ShardedAdsDo ads_do{ShardMap(), ToBytes("key")};
-  for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
-  }
+  std::vector<ads::FeedRecord> records;
+  for (uint64_t i = 0; i < 10; ++i) records.push_back(Rec(i, "v"));
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, records).ok());
   auto parts = sp.ScanSharded(MakeKey(2), MakeKey(7));
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 1u);
@@ -291,9 +334,9 @@ TEST(ForestScan, SingleShardScanIsOnePart) {
 TEST(ForestScan, CrossShardScanSplitsAtBoundaries) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
-  }
+  std::vector<ads::FeedRecord> records;
+  for (uint64_t i = 0; i < 100; ++i) records.push_back(Rec(i, "v"));
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, records).ok());
   // [20, 80) covers shards 0..3: each part scoped to its shard, each proof
   // complete against that shard's root, records totaling the full range.
   auto parts = sp.ScanSharded(MakeKey(20), MakeKey(80));
@@ -324,9 +367,7 @@ TEST(ForestScan, EmptySubrangePartsProveEmptiness) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   // Records only in shards 0 and 3; the middle shards are empty.
-  for (uint64_t i : {5, 90}) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
-  }
+  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, {Rec(5, "v"), Rec(90, "v")}).ok());
   auto parts = sp.ScanSharded(MakeKey(0), Bytes{});  // unbounded
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), 4u);
