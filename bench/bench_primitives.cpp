@@ -22,7 +22,19 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(32)->Arg(64)->Arg(1024)->Arg(65536);
+
+// One Merkle inner node (0x01 || left || right, two compressions): the unit
+// every tree splice, audit path and on-chain proof check is made of.
+void BM_MerkleHashNode(benchmark::State& state) {
+  Hash256 left = Hash256::FromU64(1), right = Hash256::FromU64(2);
+  for (auto _ : state) {
+    left = MerkleTree::HashNode(left, right);
+    benchmark::DoNotOptimize(left);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MerkleHashNode);
 
 void BM_MerkleBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

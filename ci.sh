@@ -36,12 +36,14 @@ echo "=== build-asan: adversary matrix (ctest -L adversary) ==="
 ctest --test-dir build-asan -L adversary --output-on-failure -j "${JOBS}"
 
 # Forest matrix: the Merkle-forest suites (label `shard`), the Merkle tree
-# suite (label `merkle`) and the ADS suites (label `ads`, home of the one
-# verified write path) under the sanitizers — batch updates splice leaf
-# suffixes and walk dirty-node index ranges level by level, exactly where
-# off-by-one and out-of-bounds bugs hide.
-echo "=== build-asan: forest matrix (ctest -L 'shard|merkle|ads') ==="
-ctest --test-dir build-asan -L 'shard|merkle|ads' --output-on-failure -j "${JOBS}"
+# suite (label `merkle`), the ADS suites (label `ads`, home of the one
+# verified write path) and the SHA-256/signer suites (label `crypto`, home of
+# the scalar vs SHA-NI differential) under the sanitizers — batch updates
+# splice leaf suffixes and walk dirty-node index ranges level by level, and
+# the node hash builds its padded blocks by hand, exactly where off-by-one
+# and out-of-bounds bugs hide.
+echo "=== build-asan: forest matrix (ctest -L 'shard|merkle|ads|crypto') ==="
+ctest --test-dir build-asan -L 'shard|merkle|ads|crypto' --output-on-failure -j "${JOBS}"
 
 # Gas identity: a GRUB_FAULTS=OFF build must produce bit-identical bench
 # output to the default build when no schedule is active — the fail-point

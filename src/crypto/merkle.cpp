@@ -27,11 +27,7 @@ Hash256 MerkleTree::HashLeafData(ByteSpan data) {
 
 Hash256 MerkleTree::HashNode(const Hash256& left, const Hash256& right) {
   static constexpr uint8_t kNodePrefix = 0x01;
-  Sha256 h;
-  h.Update(ByteSpan(&kNodePrefix, 1));
-  h.Update(left.Span());
-  h.Update(right.Span());
-  return h.Finish();
+  return Sha256::DigestNode(kNodePrefix, left, right);
 }
 
 MerkleTree::MerkleTree(std::vector<Hash256> leaves) {

@@ -321,7 +321,8 @@ chain::Receipt DoClient::EndEpoch() {
   if (shard_count == 1) {
     receipt = SubmitUpdateChunked(ads_do_.RootOfRoots(), {}, /*sharded=*/false,
                                   replicated_updates, evictions, tiered,
-                                  /*gas_shard=*/0);
+                                  /*gas_shard=*/0,
+                                  telemetry::GasCause::kUpdateRoot);
   } else {
     receipt = SubmitShardedEpochUpdates(pre_roots, tree_touched,
                                         replicated_updates, evictions, tiered);
@@ -404,7 +405,8 @@ chain::Receipt DoClient::SubmitShardedEpochUpdates(
     }
     receipt = SubmitUpdateChunked(rollup_.Root(), roots, /*sharded=*/true,
                                   rep_by_shard[s], evict_by_shard[s],
-                                  tier_by_shard[s], /*gas_shard=*/s);
+                                  tier_by_shard[s], /*gas_shard=*/s,
+                                  telemetry::GasCause::kUpdateRoot);
   }
   return receipt;
 }
@@ -414,7 +416,7 @@ chain::Receipt DoClient::SubmitUpdateChunked(
     const std::vector<std::pair<uint64_t, Hash256>>& shard_roots, bool sharded,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered,
-    uint32_t gas_shard) {
+    uint32_t gas_shard, telemetry::GasCause cause) {
   // Greedy packing against the Ctx(X) validity bound. Sizes are the exact
   // codec arithmetic (EncodedRecordBytes & co., unit-tested against the real
   // encodings), accumulated incrementally so chunking stays O(items).
@@ -466,6 +468,9 @@ chain::Receipt DoClient::SubmitUpdateChunked(
     chunks.back().tiered.unpins.push_back(key);
   }
 
+  // Only epoch updates belong to the epoch span and the per-shard update
+  // Gas; recovery traffic (Degrade) is neither.
+  const bool epoch_update = cause == telemetry::GasCause::kUpdateRoot;
   chain::Receipt receipt;
   for (size_t c = 0; c < chunks.size(); ++c) {
     const Chunk& chunk = chunks[c];
@@ -477,9 +482,10 @@ chain::Receipt DoClient::SubmitUpdateChunked(
                 : StorageManagerContract::EncodeUpdate(
                       digest, epoch_, chunk.replicated, chunk.evictions,
                       chunk.tiered);
-    receipt = SubmitUpdate(std::move(calldata), telemetry::GasCause::kUpdateRoot,
-                           epoch_span_);
-    if (receipt.ok() || chain::IsDelayedReceipt(receipt)) {
+    receipt = SubmitUpdate(std::move(calldata), cause,
+                           epoch_update ? epoch_span_ : 0);
+    if (epoch_update &&
+        (receipt.ok() || chain::IsDelayedReceipt(receipt))) {
       per_shard_update_gas_[gas_shard] += receipt.gas_used;
     }
   }
@@ -637,15 +643,11 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   if (forced.empty()) return;
 
   // Roots are unchanged mid-epoch (batches apply at EndEpoch), so the
-  // current digest verifies; the transaction only publishes replicas.
-  Bytes calldata =
-      sp_.ShardCount() == 1
-          ? StorageManagerContract::EncodeUpdate(ads_do_.RootOfRoots(), epoch_,
-                                                 forced, {})
-          : StorageManagerContract::EncodeUpdateSharded(
-                ads_do_.RootOfRoots(), epoch_, {}, forced, {});
-  chain::Receipt receipt =
-      SubmitUpdate(std::move(calldata), telemetry::GasCause::kRecovery);
+  // current digest verifies; the transactions only publish replicas, split
+  // like any update to stay inside the Ctx(X) calldata bound.
+  chain::Receipt receipt = SubmitUpdateChunked(
+      ads_do_.RootOfRoots(), {}, /*sharded=*/sp_.ShardCount() != 1, forced,
+      {}, {}, /*gas_shard=*/0, telemetry::GasCause::kRecovery);
   if (!receipt.ok() && !chain::IsDelayedReceipt(receipt)) return;
   for (const auto& record : forced) {
     forced_replicas_.insert(record.key);

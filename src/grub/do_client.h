@@ -199,14 +199,15 @@ class DoClient {
   /// GasSchedule::kMaxCalldataBytes). Every chunk carries the same digest
   /// and epoch (re-storing the root is idempotent); only the first carries
   /// the shard roots. The common small epoch stays one transaction with
-  /// byte-identical calldata to the unchunked encoding. Update Gas is
-  /// accumulated into per_shard_update_gas_[gas_shard].
+  /// byte-identical calldata to the unchunked encoding. Gas is attributed
+  /// to `cause`; epoch updates (kUpdateRoot) also ride the epoch span and
+  /// are accumulated into per_shard_update_gas_[gas_shard].
   chain::Receipt SubmitUpdateChunked(
       const Hash256& digest,
       const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
       bool sharded, const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered,
-      uint32_t gas_shard);
+      uint32_t gas_shard, telemetry::GasCause cause);
   /// Force-replicates starved keys and flips into degraded mode.
   void Degrade(const std::vector<PendingRequest>& stale);
   /// Leaves degraded mode; forced keys return to policy control.

@@ -23,6 +23,10 @@
 // clock cost; `max_ns` is the max over sampled hits. The first hit of every
 // site is always sampled, so any exercised path shows nonzero time.
 //
+// GRUB_PROBE_COUNT(site, n) is the count-only form for sites cheaper than a
+// clock read (the SHA-256 compression): it adds `n` to the count and never
+// times, so its `total_ns` stays 0.
+//
 // Header-only on purpose: the probed libraries (grub_crypto, grub_kvstore)
 // gain no link dependency on grub_telemetry.
 #pragma once
@@ -46,6 +50,9 @@ enum class ProbeSite : size_t {
   kCodecDecode,
   kKvGet,
   kKvPut,
+  /// SHA-256 compressions (64-byte blocks), counted at the one dispatch
+  /// point under every hash in the process. Count only: no clock reads.
+  kSha256Block,
   kCount,
 };
 
@@ -86,6 +93,13 @@ class ProfileRegistry {
     return (n & (kSampleEvery - 1)) == 0;
   }
 
+  /// Count-only hit of `n` units: one relaxed fetch_add, no clock read.
+  /// For sites so cheap and hot that even sampled timing would distort them.
+  static void Count(ProbeSite site, uint64_t n) {
+    if (!Enabled()) return;
+    count_[static_cast<size_t>(site)].fetch_add(n, std::memory_order_relaxed);
+  }
+
   static void RecordSample(ProbeSite site, uint64_t ns) {
     const size_t i = static_cast<size_t>(site);
     samples_[i].fetch_add(1, std::memory_order_relaxed);
@@ -101,6 +115,7 @@ class ProfileRegistry {
     static const char* kNames[kSites] = {
         "merkle.rebuild", "sha256.digest", "codec.encode",
         "codec.decode",   "kv.get",        "kv.put",
+        "sha256.block",
     };
     return kNames[static_cast<size_t>(site)];
   }
@@ -161,9 +176,12 @@ class ScopedProbe {
 }  // namespace grub::telemetry
 
 #define GRUB_PROBE(site) ::grub::telemetry::ScopedProbe grub_probe_scope_(site)
+#define GRUB_PROBE_COUNT(site, n) \
+  ::grub::telemetry::ProfileRegistry::Count(site, n)
 
 #else  // GRUB_TELEMETRY == 0: sites compile away entirely.
 
 #define GRUB_PROBE(site)
+#define GRUB_PROBE_COUNT(site, n)
 
 #endif

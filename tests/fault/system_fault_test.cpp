@@ -10,8 +10,10 @@
 #include <tuple>
 #include <vector>
 
+#include "grub/request_tracker.h"
 #include "grub/system.h"
 #include "workload/trace.h"
+#include "workload/ycsb.h"
 
 namespace grub::core {
 namespace {
@@ -154,6 +156,55 @@ TEST(SystemFault, CrashedDaemonTriggersWatchdogDegradationAndRecovery) {
   EXPECT_FALSE(system.Do().degraded());
   EXPECT_EQ(system.Daemon().consecutive_failures(), 0u);
 }
+
+// Record-size axis of the dead-SP case: every deliver is dropped, the
+// watchdog degrades and force-replicates the starved keys in update()
+// transactions. At 1 KiB and 2 KiB records those replicas cross the
+// 1000-word Ctx(X) calldata bound, so they must be chunked like any epoch
+// update instead of aborting in GasSchedule::TxCost.
+class DegradeRecordSizeTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DegradeRecordSizeTest, DeadSpDegradesWithoutAbortAndAttributesAllGas) {
+  SKIP_WITHOUT_FAULTS();
+  constexpr uint64_t kRecords = 512;
+  const size_t record_bytes = GetParam();
+  SystemOptions options = WithSchedule("sp.deliver.drop*");
+  options.enable_telemetry = true;
+  GrubSystem system(options, MakeBL1());
+  std::vector<std::pair<Bytes, Bytes>> records;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    records.emplace_back(MakeKey(i), Bytes(record_bytes, 0x11));
+  }
+  system.Preload(records);
+  workload::YcsbGenerator gen(workload::YcsbConfig::WorkloadB(), kRecords,
+                              record_bytes, /*seed=*/1);
+  Trace trace;
+  gen.Generate(256, trace);
+  system.Drive(trace);  // the parent aborted here at >= 1 KiB
+
+  uint64_t reads = 0;
+  for (const auto& op : trace) reads += op.type == workload::OpType::kRead;
+  // Every read is answered, or still pending on chain while the DO is
+  // degraded (re-emitted requests keep the ledger honest).
+  RequestTracker ledger(system.ManagerAddress());
+  ledger.CatchUp(system.Chain());
+  const uint64_t answered = system.Consumer().values_received() +
+                            system.Consumer().misses_received();
+  EXPECT_GT(answered, 0u);  // forced replicas serve reads without the SP
+  EXPECT_GE(answered + ledger.Pending().size(), reads);
+  if (!ledger.Pending().empty()) EXPECT_TRUE(system.Do().degraded());
+  EXPECT_GT(system.Do().OnChainReplicas().size(), 0u);
+
+  // The attribution still sums to the chain's metered total, and the
+  // degrade replicas stay attributed to recovery.
+  ASSERT_NE(system.Metrics(), nullptr);
+  const auto matrix = system.Metrics()->Gas().Snapshot();
+  EXPECT_EQ(matrix.Total(), system.TotalGas());
+  EXPECT_GT(matrix.CauseTotal(telemetry::GasCause::kRecovery), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RecordBytes, DegradeRecordSizeTest,
+                         ::testing::Values(32, 1024, 2048));
 
 TEST(SystemFault, ReorgReplaysTransactionsAndConverges) {
   SKIP_WITHOUT_FAULTS();

@@ -10,6 +10,7 @@
 // Prints the per-epoch Gas/op series, the aggregate Gas breakdown, and the
 // replication activity — everything needed to eyeball a new policy or
 // workload without writing a bench.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "chain/price.h"
 #include "grub/multi_feed.h"
@@ -165,7 +167,8 @@ void PrintUsage() {
       "                  the stream byte-for-byte. Incompatible with --json\n"
       "                  and --feeds\n"
       "  --profile       enable the hot-path profiling probes (Merkle\n"
-      "                  rebuild, sha256, codec, kvstore) and append the\n"
+      "                  rebuild, sha256 digests, codec, kvstore; sha256\n"
+      "                  compressed blocks, count only) and append the\n"
       "                  count/total/max ns table to the text report —\n"
       "                  wall-clock, so never part of --json or --watch\n"
       "                  output. Requires a GRUB_TELEMETRY build\n"
@@ -175,6 +178,49 @@ void PrintUsage() {
       "                  series, activity and robustness counters, and the\n"
       "                  pinned workload.observatory section (GRUB_TELEMETRY\n"
       "                  builds)\n");
+}
+
+// The --workload grammar (see PrintUsage), checked while parsing: a
+// malformed spec is a usage error, never an exception out of a generator.
+bool ValidWorkloadSpec(const std::string& spec) {
+  const auto colon = spec.find(':');
+  const std::string name = spec.substr(0, colon);
+  if (colon == std::string::npos) {
+    return name == "ratio" || name == "ycsb" || name == "oracle" ||
+           name == "btcrelay";
+  }
+  const std::string params = spec.substr(colon + 1);
+  if (name == "ratio") {
+    char* end = nullptr;
+    const double ratio = std::strtod(params.c_str(), &end);
+    return !params.empty() && *end == '\0' && std::isfinite(ratio) &&
+           ratio >= 0;
+  }
+  if (name == "ycsb") {
+    auto letter = [](char c) {
+      try {
+        workload::YcsbConfig::ByName(c);
+        return true;
+      } catch (const std::invalid_argument&) {
+        return false;
+      }
+    };
+    return (params.size() == 1 && letter(params[0])) ||
+           (params.size() == 3 && params[1] == ',' && letter(params[0]) &&
+            letter(params[2]));
+  }
+  return false;
+}
+
+std::vector<std::string> SplitFeeds(const std::string& feeds) {
+  std::vector<std::string> specs;
+  for (size_t pos = 0; pos < feeds.size();) {
+    size_t comma = feeds.find(',', pos);
+    if (comma == std::string::npos) comma = feeds.size();
+    if (comma > pos) specs.push_back(feeds.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return specs;
 }
 
 bool ParseArgs(int argc, char** argv, Args& args) {
@@ -261,6 +307,14 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       args.help = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return false;
+    }
+  }
+  std::vector<std::string> specs = SplitFeeds(args.feeds);
+  specs.push_back(args.workload);
+  for (const auto& spec : specs) {
+    if (!ValidWorkloadSpec(spec)) {
+      std::fprintf(stderr, "bad workload spec: %s\n", spec.c_str());
       return false;
     }
   }
@@ -451,13 +505,7 @@ int RunLeaderboardCmd(const Args& args) {
 
 // --feeds: several isolated feeds on one shared chain, per-feed Gas exact.
 int RunMultiFeed(const Args& args) {
-  std::vector<std::string> specs;
-  for (size_t pos = 0; pos < args.feeds.size();) {
-    size_t comma = args.feeds.find(',', pos);
-    if (comma == std::string::npos) comma = args.feeds.size();
-    if (comma > pos) specs.push_back(args.feeds.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
+  const std::vector<std::string> specs = SplitFeeds(args.feeds);
   if (specs.empty()) {
     std::fprintf(stderr, "--feeds: no workload specs\n");
     return 2;
