@@ -277,4 +277,32 @@ diff /tmp/grub_gas_bl2.txt /tmp/grub_gas_tier_storage.txt
   | grep -v -e '^policy:' -e '^placement:' > /tmp/grub_gas_tier_offchain.txt
 diff /tmp/grub_gas_bl1.txt /tmp/grub_gas_tier_offchain.txt
 
+# One feed driver: a feed of a --feeds run is a GrubSystem on the shared
+# chain, driven by the same step as a single run, so a 1-feed --feeds X run
+# must pay exactly what --workload X pays — in the text report and in --json,
+# at record sizes whose deliver batches split across the Ctx(X) bound, and
+# with scans. The expected totals are pinned too.
+echo "=== gas identity: 1-feed --feeds vs --workload ==="
+feeds_identity() {
+  local expected="$1" spec="$2"; shift 2
+  local run=(./build/tools/grubctl --policy bl1 "$@")
+  local single feeds single_json feeds_json
+  single="$("${run[@]}" --workload "${spec}" | sed -n 's/^total: *\([0-9]*\) Gas.*/\1/p')"
+  feeds="$("${run[@]}" --feeds "${spec}" | sed -n 's/^  total: \([0-9]*\) Gas$/\1/p')"
+  single_json="$("${run[@]}" --workload "${spec}" --json \
+    | grep -o '"gas":{"total":[0-9]*' | grep -o '[0-9]*$')"
+  feeds_json="$("${run[@]}" --feeds "${spec}" --json \
+    | grep -o '"total_gas":[0-9]*' | grep -o '[0-9]*$')"
+  echo "${spec} $*: --workload ${single} (json ${single_json}), --feeds ${feeds} (json ${feeds_json})"
+  if [ "${single}" != "${expected}" ] || [ "${feeds}" != "${expected}" ] ||
+     [ "${single_json}" != "${expected}" ] || [ "${feeds_json}" != "${expected}" ]; then
+    echo "1-feed identity FAILED: expected ${expected} Gas everywhere"
+    exit 1
+  fi
+}
+feeds_identity 68215864 ycsb:B --records 512 --ops 2048 --record-bytes 32
+feeds_identity 201061716 ycsb:B --records 512 --ops 2048 --record-bytes 1024
+feeds_identity 337147380 ycsb:B --records 512 --ops 2048 --record-bytes 2048
+feeds_identity 351640260 ycsb:E --records 256 --ops 256 --record-bytes 32
+
 echo "=== all passes green ==="

@@ -15,6 +15,7 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
       options_(options),
       policy_(std::move(policy)),
       ads_do_(sp.Map(), ToBytes("grub-do-signing-key")),
+      sharded_layout_(sp.ShardCount() > 1),
       tracker_(options.storage_manager) {
   auto db = kv::KVStore::Open(kv::Options{}, "");
   if (!db.ok()) throw std::runtime_error("DoClient: value cache open failed");
@@ -23,10 +24,22 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
   // forest is: one arena bucket per shard.
   policy_->BindShards(&sp_.Map());
   per_shard_update_gas_.assign(sp_.ShardCount(), 0);
-  // Unset contract root slots read as zero, the empty-tree root.
-  if (sp_.ShardCount() > 1) {
-    rollup_ = MerkleTree(std::vector<Hash256>(sp_.ShardCount()));
+  // Unset contract root slots read as zero, the empty-tree root. A
+  // one-shard rollup's root is its only leaf, the shard root itself.
+  rollup_ = MerkleTree(std::vector<Hash256>(sp_.ShardCount()));
+}
+
+Bytes DoClient::EncodeUpdate(
+    const Hash256& digest,
+    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
+    const std::vector<ads::FeedRecord>& replicated,
+    const std::vector<Bytes>& evictions, const TierSuffix& tiered) const {
+  if (!sharded_layout_) {
+    return StorageManagerContract::EncodeUpdate(digest, epoch_, replicated,
+                                                evictions, tiered);
   }
+  return StorageManagerContract::EncodeUpdateSharded(
+      digest, epoch_, shard_roots, replicated, evictions, tiered);
 }
 
 void DoClient::SetMetrics(telemetry::MetricsRegistry* registry) {
@@ -153,23 +166,16 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
   ads_do_.BulkLoad(sp_, feed_records);
   const std::vector<uint32_t> touched_shards = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = touched_shards.size();
-  if (sp_.ShardCount() == 1) {
-    SubmitUpdate(StorageManagerContract::EncodeUpdate(ads_do_.RootOfRoots(),
-                                                      epoch_, {}, {}),
-                 telemetry::GasCause::kUpdateRoot);
-  } else {
-    // One genesis update carrying every populated shard root: the contract
-    // verifies the rollup against unset (zero == empty-tree) slots plus
-    // these, then stores them all.
-    std::vector<std::pair<uint64_t, Hash256>> roots;
-    roots.reserve(touched_shards.size());
-    for (uint32_t s : touched_shards) {
-      roots.emplace_back(s, ads_do_.ShardRoot(s));
-    }
-    SubmitUpdate(StorageManagerContract::EncodeUpdateSharded(
-                     ads_do_.RootOfRoots(), epoch_, roots, {}, {}),
-                 telemetry::GasCause::kUpdateRoot);
+  // One genesis update carrying every populated shard root: the contract
+  // verifies the rollup against unset (zero == empty-tree) slots plus
+  // these, then stores them all.
+  std::vector<std::pair<uint64_t, Hash256>> roots;
+  roots.reserve(touched_shards.size());
+  for (uint32_t s : touched_shards) {
+    roots.emplace_back(s, ads_do_.ShardRoot(s));
   }
+  SubmitUpdate(EncodeUpdate(ads_do_.RootOfRoots(), roots, {}, {}, {}),
+               telemetry::GasCause::kUpdateRoot);
   epoch_ += 1;
   // Skip monitor processing of history up to now (preload is not workload).
   call_history_cursor_ = chain_.CallHistory().size();
@@ -317,16 +323,10 @@ chain::Receipt DoClient::EndEpoch() {
 #endif
   std::vector<uint32_t> tree_touched = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = tree_touched.size();
-  chain::Receipt receipt;
-  if (shard_count == 1) {
-    receipt = SubmitUpdateChunked(ads_do_.RootOfRoots(), {}, /*sharded=*/false,
-                                  replicated_updates, evictions, tiered,
-                                  /*gas_shard=*/0,
-                                  telemetry::GasCause::kUpdateRoot);
-  } else {
-    receipt = SubmitShardedEpochUpdates(pre_roots, tree_touched,
-                                        replicated_updates, evictions, tiered);
-  }
+  chain::Receipt receipt =
+      SubmitEpochUpdates(pre_roots, tree_touched,
+                         std::move(replicated_updates), std::move(evictions),
+                         std::move(tiered));
 #if GRUB_TELEMETRY
   if (tracer_ != nullptr) {
     tracer_->EndSpan(epoch_span_, chain_.CurrentBlockNumber(),
@@ -338,28 +338,29 @@ chain::Receipt DoClient::EndEpoch() {
   return receipt;
 }
 
-chain::Receipt DoClient::SubmitShardedEpochUpdates(
+chain::Receipt DoClient::SubmitEpochUpdates(
     const std::vector<Hash256>& pre_roots,
     const std::vector<uint32_t>& tree_touched,
-    const std::vector<ads::FeedRecord>& replicated,
-    const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
+    std::vector<ads::FeedRecord> replicated, std::vector<Bytes> evictions,
+    TierSuffix tiered) {
   const size_t shard_count = sp_.ShardCount();
   // Partition the replica/eviction/tier suffixes by shard (arrival order is
   // preserved within each shard, matching the legacy single-tx ordering).
   std::vector<std::vector<ads::FeedRecord>> rep_by_shard(shard_count);
-  for (const auto& record : replicated) {
-    rep_by_shard[sp_.Map().ShardOf(record.key)].push_back(record);
+  for (auto& record : replicated) {
+    rep_by_shard[sp_.Map().ShardOf(record.key)].push_back(std::move(record));
   }
   std::vector<std::vector<Bytes>> evict_by_shard(shard_count);
-  for (const auto& key : evictions) {
-    evict_by_shard[sp_.Map().ShardOf(key)].push_back(key);
+  for (auto& key : evictions) {
+    evict_by_shard[sp_.Map().ShardOf(key)].push_back(std::move(key));
   }
   std::vector<TierSuffix> tier_by_shard(shard_count);
-  for (const auto& entry : tiered.entries) {
-    tier_by_shard[sp_.Map().ShardOf(entry.record.key)].entries.push_back(entry);
+  for (auto& entry : tiered.entries) {
+    tier_by_shard[sp_.Map().ShardOf(entry.record.key)].entries.push_back(
+        std::move(entry));
   }
-  for (const auto& key : tiered.unpins) {
-    tier_by_shard[sp_.Map().ShardOf(key)].unpins.push_back(key);
+  for (auto& key : tiered.unpins) {
+    tier_by_shard[sp_.Map().ShardOf(key)].unpins.push_back(std::move(key));
   }
 
   // A shard is involved if its tree changed or it carries replica traffic.
@@ -375,9 +376,9 @@ chain::Receipt DoClient::SubmitShardedEpochUpdates(
 
   if (involved.empty()) {
     // Nothing changed anywhere; publish the (unchanged) digest alone so the
-    // epoch boundary is still visible on chain — the legacy behavior.
-    return SubmitUpdate(StorageManagerContract::EncodeUpdateSharded(
-                            ads_do_.RootOfRoots(), epoch_, {}, {}, {}),
+    // epoch boundary is still visible on chain. It belongs to no shard's
+    // update Gas.
+    return SubmitUpdate(EncodeUpdate(ads_do_.RootOfRoots(), {}, {}, {}, {}),
                         telemetry::GasCause::kUpdateRoot, epoch_span_);
   }
 
@@ -403,8 +404,8 @@ chain::Receipt DoClient::SubmitShardedEpochUpdates(
       rollup_.SetLeaf(s, root);
       roots.emplace_back(s, root);
     }
-    receipt = SubmitUpdateChunked(rollup_.Root(), roots, /*sharded=*/true,
-                                  rep_by_shard[s], evict_by_shard[s],
+    receipt = SubmitUpdateChunked(rollup_.Root(), roots, rep_by_shard[s],
+                                  evict_by_shard[s],
                                   tier_by_shard[s], /*gas_shard=*/s,
                                   telemetry::GasCause::kUpdateRoot);
   }
@@ -413,7 +414,7 @@ chain::Receipt DoClient::SubmitShardedEpochUpdates(
 
 chain::Receipt DoClient::SubmitUpdateChunked(
     const Hash256& digest,
-    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots, bool sharded,
+    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered,
     uint32_t gas_shard, telemetry::GasCause cause) {
@@ -431,7 +432,7 @@ chain::Receipt DoClient::SubmitUpdateChunked(
   const uint64_t limit = chain::GasSchedule::kMaxCalldataBytes;
   const auto base_bytes = [&](bool first) -> uint64_t {
     uint64_t bytes = 32 + 8 + 8 + 8;  // digest, epoch, replication counts
-    if (sharded) bytes += 8 + (first ? 40 * shard_roots.size() : 0);
+    if (sharded_layout_) bytes += 8 + (first ? 40 * shard_roots.size() : 0);
     return bytes;
   };
   std::vector<Chunk> chunks(1);
@@ -476,12 +477,8 @@ chain::Receipt DoClient::SubmitUpdateChunked(
     const Chunk& chunk = chunks[c];
     const std::vector<std::pair<uint64_t, Hash256>> no_roots;
     Bytes calldata =
-        sharded ? StorageManagerContract::EncodeUpdateSharded(
-                      digest, epoch_, c == 0 ? shard_roots : no_roots,
-                      chunk.replicated, chunk.evictions, chunk.tiered)
-                : StorageManagerContract::EncodeUpdate(
-                      digest, epoch_, chunk.replicated, chunk.evictions,
-                      chunk.tiered);
+        EncodeUpdate(digest, c == 0 ? shard_roots : no_roots, chunk.replicated,
+                     chunk.evictions, chunk.tiered);
     receipt = SubmitUpdate(std::move(calldata), cause,
                            epoch_update ? epoch_span_ : 0);
     if (epoch_update &&
@@ -646,8 +643,8 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   // current digest verifies; the transactions only publish replicas, split
   // like any update to stay inside the Ctx(X) calldata bound.
   chain::Receipt receipt = SubmitUpdateChunked(
-      ads_do_.RootOfRoots(), {}, /*sharded=*/sp_.ShardCount() != 1, forced,
-      {}, {}, /*gas_shard=*/0, telemetry::GasCause::kRecovery);
+      ads_do_.RootOfRoots(), {}, forced, {}, {}, /*gas_shard=*/0,
+      telemetry::GasCause::kRecovery);
   if (!receipt.ok() && !chain::IsDelayedReceipt(receipt)) return;
   for (const auto& record : forced) {
     forced_replicas_.insert(record.key);

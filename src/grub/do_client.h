@@ -116,9 +116,9 @@ class DoClient {
   size_t LastEpochTouchedShards() const { return last_epoch_touched_shards_; }
 
   /// Cumulative Gas of the update() transactions attributed to each shard
-  /// (indexed by shard; single-shard deployments use index 0). Sharded
-  /// epochs send one update per involved shard, so receipts meter this
-  /// exactly.
+  /// (indexed by shard; single-shard deployments use index 0). Epochs send
+  /// one update per involved shard, so receipts meter this exactly; the
+  /// digest-only update of an epoch that changed nothing counts for none.
   const std::vector<uint64_t>& PerShardUpdateGas() const {
     return per_shard_update_gas_;
   }
@@ -184,16 +184,26 @@ class DoClient {
   /// with the counter evidence the policy captured around the flip.
   void RecordFlipAudit(const Bytes& key, ads::ReplState before,
                        ads::ReplState after, const char* op);
-  /// Sends the epoch's sharded update transactions: one update() per shard
-  /// with tree changes or replica/eviction traffic, each carrying the
-  /// incremental root-of-roots after that shard's root lands. `pre_roots`
-  /// are the shard roots before this epoch's batches were applied (== what
-  /// the contract currently stores). Returns the last receipt.
-  chain::Receipt SubmitShardedEpochUpdates(
+  /// The update() calldata in the deployment's layout, chosen here only: a
+  /// one-shard forest keeps the legacy single-tree encoding (no shard
+  /// roots, Gas-pinned by the pre-shard baseline), more shards use the
+  /// sharded one.
+  Bytes EncodeUpdate(
+      const Hash256& digest,
+      const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
+      const std::vector<ads::FeedRecord>& replicated,
+      const std::vector<Bytes>& evictions, const TierSuffix& tiered) const;
+  /// Sends the epoch's update transactions: one update() per shard with
+  /// tree changes or replica/eviction traffic (a digest-only one when
+  /// nothing changed), each carrying the incremental root-of-roots after
+  /// that shard's root lands. `pre_roots` are the shard roots before this
+  /// epoch's batches were applied (== what the contract currently stores).
+  /// Returns the last receipt.
+  chain::Receipt SubmitEpochUpdates(
       const std::vector<Hash256>& pre_roots,
       const std::vector<uint32_t>& tree_touched,
-      const std::vector<ads::FeedRecord>& replicated,
-      const std::vector<Bytes>& evictions, const TierSuffix& tiered);
+      std::vector<ads::FeedRecord> replicated, std::vector<Bytes> evictions,
+      TierSuffix tiered);
   /// Splits one logical update into as many update() transactions as the
   /// Ctx(X) calldata validity bound requires (X < 1000 words — see
   /// GasSchedule::kMaxCalldataBytes). Every chunk carries the same digest
@@ -205,7 +215,7 @@ class DoClient {
   chain::Receipt SubmitUpdateChunked(
       const Hash256& digest,
       const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
-      bool sharded, const std::vector<ads::FeedRecord>& replicated,
+      const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered,
       uint32_t gas_shard, telemetry::GasCause cause);
   /// Force-replicates starved keys and flips into degraded mode.
@@ -222,8 +232,10 @@ class DoClient {
   Options options_;
   std::unique_ptr<ReplicationPolicy> policy_;
   shard::ShardedAdsDo ads_do_;
-  // Sharded feeds: the shard-root rollup as the contract holds it, one leaf
-  // per shard; its root is the digest each update() carries.
+  // More than one shard: the sharded update layout (see EncodeUpdate).
+  const bool sharded_layout_;
+  // The shard-root rollup as the contract holds it, one leaf per shard; its
+  // root is the digest each update() carries.
   MerkleTree rollup_;
 
   // DO-local copy of current values (it produced them), in the embedded

@@ -1,180 +1,39 @@
 #include "grub/multi_feed.h"
 
+#include <algorithm>
+
 namespace grub::core {
-
-namespace {
-
-shard::ShardMap MapFor(const FeedOptions& options) {
-  if (!options.shard_boundaries.empty()) {
-    return shard::ShardMap(options.shard_boundaries);
-  }
-  if (options.shards > 1) return shard::ShardMap::Uniform(options.shards);
-  return shard::ShardMap();
-}
-
-// Disjoint account ranges per feed, clear of GrubSystem's 1001..1003.
-constexpr chain::Address kFeedAccountBase = 2001;
-constexpr chain::Address kAccountsPerFeed = 3;
-
-}  // namespace
 
 MultiFeedSystem::MultiFeedSystem(chain::ChainParams params) : chain_(params) {}
 
 MultiFeedSystem::~MultiFeedSystem() = default;
 
-size_t MultiFeedSystem::AddFeed(FeedOptions options,
+size_t MultiFeedSystem::AddFeed(std::string name, SystemOptions options,
                                 std::unique_ptr<ReplicationPolicy> policy) {
-  auto feed = std::make_unique<Feed>(MapFor(options));
-  const chain::Address base =
-      kFeedAccountBase +
-      static_cast<chain::Address>(feeds_.size()) * kAccountsPerFeed;
-  feed->do_account = base;
-  feed->sp_account = base + 1;
-  feed->user_account = base + 2;
-
-  StorageManagerContract::Config config;
-  config.do_address = feed->do_account;
-  config.shard_map = feed->sp.Map();
-  config.enforce_request_ledger = true;
-  auto manager = std::make_unique<StorageManagerContract>(config);
-  feed->manager = manager.get();
-  feed->manager_address = chain_.Deploy(std::move(manager));
-
-  auto consumer = std::make_unique<ConsumerContract>(feed->manager_address);
-  feed->consumer = consumer.get();
-  feed->consumer_address = chain_.Deploy(std::move(consumer));
-
-  DoClient::Options do_options;
-  do_options.do_account = feed->do_account;
-  do_options.storage_manager = feed->manager_address;
-  feed->do_client = std::make_unique<DoClient>(chain_, feed->sp, do_options,
-                                               std::move(policy));
-  QuorumOptions quorum_options;
-  quorum_options.replicas = options.sp_replicas;
-  quorum_options.adversary_spec = options.adversary_spec;
-  quorum_options.adversary_seed = options.adversary_seed;
-  feed->quorum = std::make_unique<SpQuorum>(
-      chain_, feed->sp, feed->manager_address, feed->sp_account,
-      quorum_options);
-
-  feed->options = std::move(options);
-  feeds_.push_back(std::move(feed));
+  feeds_.push_back(Tenant{
+      std::move(name),
+      std::make_unique<GrubSystem>(chain_, feeds_.size(), std::move(options),
+                                   std::move(policy)),
+      {}});
   return feeds_.size() - 1;
 }
 
-void MultiFeedSystem::EnableWorkloadMonitors(size_t sketch_capacity,
-                                             uint64_t rate_window_blocks) {
-#if GRUB_TELEMETRY
-  for (auto& feed : feeds_) {
-    if (feed->workload != nullptr) continue;
-    telemetry::WorkloadMonitor::Options monitor_options;
-    const shard::ShardMap shard_map = feed->sp.Map();
-    monitor_options.shard_count = static_cast<uint32_t>(shard_map.Count());
-    monitor_options.shard_of = [shard_map](const Bytes& key) {
-      return shard_map.ShardOf(key);
-    };
-    monitor_options.sketch_capacity = sketch_capacity;
-    monitor_options.rate_window_blocks = rate_window_blocks;
-    feed->workload =
-        std::make_unique<telemetry::WorkloadMonitor>(std::move(monitor_options));
-    feed->do_client->SetWorkloadMonitor(feed->workload.get());
-    feed->quorum->SetWorkloadMonitor(feed->workload.get());
-    feed->manager->SetWorkloadMonitor(feed->workload.get());
-  }
-#else
-  (void)sketch_capacity;
-  (void)rate_window_blocks;
-#endif
-}
-
-void MultiFeedSystem::Preload(
-    size_t feed, const std::vector<std::pair<Bytes, Bytes>>& records) {
-  Feed& f = *feeds_.at(feed);
-  f.do_client->Preload(records);
-  for (const auto& [key, value] : records) f.live_keys.insert(key);
-}
-
-void MultiFeedSystem::FlushReadGroup(Feed& feed) {
-  if (feed.consumer->QueuedCount() == 0) return;
-  chain::Transaction tx;
-  tx.from = feed.user_account;
-  tx.to = feed.consumer_address;
-  tx.function = ConsumerContract::kRunFn;
-  tx.cause = telemetry::GasCause::kGGetSync;
-  tx.calldata = ConsumerContract::EncodeRun(feed.consumer->QueuedCount());
-  chain_.SubmitAndMine(std::move(tx));
-  // Only the owning feed's daemon polls: another feed's watchdog ignores
-  // these request events (contract filter), which the isolation test pins.
-  feed.quorum->PollAndServe();
-  feed.do_client->CheckReadLiveness();
-}
-
-size_t MultiFeedSystem::DriveGroup(Feed& feed, const workload::Trace& trace,
-                                   size_t& cursor, size_t& ops_in_epoch,
-                                   size_t& groups_in_epoch) {
-  size_t ops_in_group = 0;
-  while (cursor < trace.size() && ops_in_group < feed.options.ops_per_tx) {
-    const auto& op = trace[cursor++];
-    size_t op_weight = 1;
-    switch (op.type) {
-      case workload::OpType::kWrite:
-        feed.live_keys.insert(op.key);
-        feed.do_client->BufferPut(op.key, op.value);
-        break;
-      case workload::OpType::kRead:
-        feed.do_client->NoteRead(op.key);
-        feed.consumer->QueueRead(op.key);
-        break;
-      case workload::OpType::kScan: {
-        std::vector<Bytes> keys;
-        for (auto it = feed.live_keys.lower_bound(op.key);
-             it != feed.live_keys.end() && keys.size() < op.scan_len; ++it) {
-          keys.push_back(*it);
-        }
-        op_weight = keys.empty() ? 1 : keys.size();
-        for (const auto& key : keys) {
-          feed.do_client->NoteRead(key);
-          feed.consumer->QueueRead(key);
-        }
-        break;
-      }
-    }
-    ops_in_group += op_weight;
-    ops_in_epoch += op_weight;
-    feed.ops_driven += op_weight;
-  }
-  if (ops_in_group == 0) return 0;
-  FlushReadGroup(feed);
-  groups_in_epoch += 1;
-  if (groups_in_epoch >= feed.options.txs_per_epoch) {
-    feed.do_client->EndEpoch();
-    feed.epochs_closed += 1;
-    groups_in_epoch = 0;
-    ops_in_epoch = 0;
-  }
-  return ops_in_group;
-}
-
 void MultiFeedSystem::DriveAll(const std::vector<workload::Trace>& traces) {
-  std::vector<size_t> cursor(feeds_.size(), 0);
-  std::vector<size_t> ops_in_epoch(feeds_.size(), 0);
-  std::vector<size_t> groups_in_epoch(feeds_.size(), 0);
+  const size_t n = std::min(feeds_.size(), traces.size());
+  std::vector<size_t> cursor(n, 0);
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    for (size_t i = 0; i < feeds_.size(); ++i) {
-      if (i >= traces.size() || cursor[i] >= traces[i].size()) continue;
-      progressed |= DriveGroup(*feeds_[i], traces[i], cursor[i],
-                               ops_in_epoch[i], groups_in_epoch[i]) > 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (cursor[i] >= traces[i].size()) continue;
+      Feed(i).DriveStep(traces[i], cursor[i]);
+      progressed = true;
     }
   }
-  // Close any partial epoch (buffered writes or an un-published group tail).
-  for (size_t i = 0; i < feeds_.size(); ++i) {
-    Feed& feed = *feeds_[i];
-    FlushReadGroup(feed);
-    if (groups_in_epoch[i] > 0 || ops_in_epoch[i] > 0) {
-      feed.do_client->EndEpoch();
-      feed.epochs_closed += 1;
+  // Close every feed's partial group and epoch.
+  for (size_t i = 0; i < n; ++i) {
+    for (const EpochGas& epoch : Feed(i).FinishDrive()) {
+      feeds_[i].epochs.push_back(epoch);
     }
   }
 }
@@ -182,16 +41,16 @@ void MultiFeedSystem::DriveAll(const std::vector<workload::Trace>& traces) {
 std::vector<FeedStats> MultiFeedSystem::Stats() const {
   std::vector<FeedStats> stats;
   stats.reserve(feeds_.size());
-  for (const auto& feed : feeds_) {
+  for (const Tenant& feed : feeds_) {
     FeedStats s;
-    s.name = feed->options.name;
-    s.manager_gas = chain_.GasUsedBy(feed->manager_address);
-    s.consumer_gas = chain_.GasUsedBy(feed->consumer_address);
+    s.name = feed.name;
+    s.manager_gas = chain_.GasUsedBy(feed.system->ManagerAddress());
+    s.consumer_gas = chain_.GasUsedBy(feed.system->ConsumerAddress());
     s.gas = s.manager_gas + s.consumer_gas;
-    s.ops = feed->ops_driven;
-    s.epochs = feed->epochs_closed;
-    s.shards = feed->sp.ShardCount();
-    s.per_shard_update_gas = feed->do_client->PerShardUpdateGas();
+    for (const EpochGas& epoch : feed.epochs) s.ops += epoch.ops;
+    s.epochs = feed.epochs.size();
+    s.shards = feed.system->Shards().Count();
+    s.per_shard_update_gas = feed.system->Do().PerShardUpdateGas();
     stats.push_back(std::move(s));
   }
   return stats;

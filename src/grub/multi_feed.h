@@ -1,51 +1,31 @@
 // Multi-feed tenancy: several independent GRuB data feeds sharing ONE chain.
 //
 // Real deployments co-locate feeds (a price oracle, a block-header relay, a
-// KV application) on the same blockchain: each feed is its own
-// StorageManagerContract + consumer + DO control plane + SP watchdog, with
-// its own shard layout and replication policy, but every transaction lands
-// in the shared chain's blocks and Gas ledger. MultiFeedSystem assembles
-// that: feeds are isolated by construction (disjoint contracts, disjoint
-// accounts, disjoint shard sets), and per-feed Gas is attributed exactly via
+// KV application) on the same blockchain. A feed here is a GrubSystem built
+// against the shared chain: its own StorageManagerContract + consumer + DO
+// control plane + SP quorum, shard layout and replication policy, while
+// every transaction lands in the shared chain's blocks and Gas ledger.
+// Feeds are isolated by construction (disjoint contracts, disjoint accounts,
+// disjoint shard sets), and per-feed Gas is attributed exactly via
 // Blockchain::GasUsedBy on each feed's two contract addresses — internal
 // calls (gGet from a consumer, callbacks from a deliver) meter into the
 // outer transaction's target, which is always one of the owning feed's
 // contracts.
 //
-// The driver interleaves the feeds' traces round-robin at transaction-group
-// granularity, so blocks mix feeds the way a shared chain would.
+// DriveAll interleaves the feeds' traces round-robin, one GrubSystem::
+// DriveStep (one transaction group) at a time, so blocks mix feeds the way a
+// shared chain would.
 #pragma once
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "chain/blockchain.h"
-#include "grub/consumer.h"
-#include "grub/do_client.h"
-#include "grub/policy.h"
-#include "grub/sp_daemon.h"
-#include "grub/sp_quorum.h"
-#include "grub/storage_manager.h"
-#include "shard/forest.h"
+#include "grub/system.h"
 #include "workload/trace.h"
 
 namespace grub::core {
-
-struct FeedOptions {
-  std::string name;
-  /// Shard layout (same semantics as SystemOptions::shards/shard_boundaries).
-  size_t shards = 1;
-  std::vector<Bytes> shard_boundaries;
-  size_t ops_per_tx = 32;
-  size_t txs_per_epoch = 1;
-  /// SP watchdog replicas for this feed (see sp_quorum.h); 1 = classic.
-  size_t sp_replicas = 1;
-  /// Per-replica Byzantine spec (fault::ParseMulti grammar; empty = honest).
-  std::string adversary_spec;
-  uint64_t adversary_seed = 42;
-};
 
 /// Per-feed results after driving.
 struct FeedStats {
@@ -66,17 +46,22 @@ struct FeedStats {
 
 class MultiFeedSystem {
  public:
+  /// The shared chain's settings (block timing, Gas schedule, price
+  /// schedule) hold for every feed.
   explicit MultiFeedSystem(chain::ChainParams params = {});
   ~MultiFeedSystem();
 
-  /// Deploys one feed (contracts + control plane) on the shared chain and
-  /// returns its index. Call before Preload/Drive.
-  size_t AddFeed(FeedOptions options,
+  /// Deploys one feed on the shared chain and returns its index. `options`
+  /// are the feed's own (see the borrowed-chain GrubSystem constructor for
+  /// what it rejects). Call before Preload/Drive.
+  size_t AddFeed(std::string name, SystemOptions options,
                  std::unique_ptr<ReplicationPolicy> policy);
 
   /// Bulk-loads one feed's records (unmetered genesis + one update()).
   void Preload(size_t feed,
-               const std::vector<std::pair<Bytes, Bytes>>& records);
+               const std::vector<std::pair<Bytes, Bytes>>& records) {
+    Feed(feed).Preload(records);
+  }
   /// Zeroes the chain's Gas counters; call once after all preloads.
   void ResetGasCounters() { chain_.ResetGasCounters(); }
 
@@ -84,64 +69,38 @@ class MultiFeedSystem {
   /// trace), interleaving round-robin one transaction group at a time.
   void DriveAll(const std::vector<workload::Trace>& traces);
 
-  /// Per-feed Gas/ops totals since the last ResetGasCounters.
+  /// Per-feed Gas/ops totals: Gas since the last ResetGasCounters, ops and
+  /// epochs over every DriveAll.
   std::vector<FeedStats> Stats() const;
+  /// The feed's per-epoch Gas series over every DriveAll; it counts only the
+  /// feed's own contracts, so the series sums to the feed's Stats() Gas.
+  const std::vector<EpochGas>& Epochs(size_t feed) const {
+    return feeds_[feed].epochs;
+  }
 
   size_t FeedCount() const { return feeds_.size(); }
   chain::Blockchain& Chain() { return chain_; }
-  DoClient& Do(size_t feed) { return *feeds_[feed]->do_client; }
-  ConsumerContract& Consumer(size_t feed) { return *feeds_[feed]->consumer; }
+  GrubSystem& Feed(size_t feed) { return *feeds_[feed].system; }
+  const GrubSystem& Feed(size_t feed) const { return *feeds_[feed].system; }
+  ConsumerContract& Consumer(size_t feed) { return Feed(feed).Consumer(); }
   const shard::ShardMap& Shards(size_t feed) const {
-    return feeds_[feed]->sp.Map();
+    return Feed(feed).Shards();
   }
   chain::Address ManagerAddress(size_t feed) const {
-    return feeds_[feed]->manager_address;
+    return Feed(feed).ManagerAddress();
   }
-  SpQuorum& Quorum(size_t feed) { return *feeds_[feed]->quorum; }
-  const SpQuorum& Quorum(size_t feed) const { return *feeds_[feed]->quorum; }
-
-  /// Attaches one WorkloadMonitor per deployed feed (tenancy keeps the
-  /// observatories as isolated as the feeds: each monitor sees only its own
-  /// feed's reads/writes/delivers/chain-reads). Call after the last AddFeed;
-  /// observation-only, per-feed Gas stays exact. No-op in GRUB_TELEMETRY=0
-  /// builds.
-  void EnableWorkloadMonitors(size_t sketch_capacity = 64,
-                              uint64_t rate_window_blocks = 16);
-  /// Feed's monitor, or null before EnableWorkloadMonitors (and always in
-  /// GRUB_TELEMETRY=0 builds).
-  telemetry::WorkloadMonitor* Workload(size_t feed) {
-    return feeds_[feed]->workload.get();
-  }
+  SpQuorum& Quorum(size_t feed) { return Feed(feed).Quorum(); }
+  const SpQuorum& Quorum(size_t feed) const { return Feed(feed).Quorum(); }
 
  private:
-  struct Feed {
-    FeedOptions options;
-    shard::ShardedAdsSp sp;
-    chain::Address manager_address = chain::kNullAddress;
-    chain::Address consumer_address = chain::kNullAddress;
-    chain::Address do_account = chain::kNullAddress;
-    chain::Address sp_account = chain::kNullAddress;
-    chain::Address user_account = chain::kNullAddress;
-    ConsumerContract* consumer = nullptr;  // owned by the chain
-    StorageManagerContract* manager = nullptr;  // owned by the chain
-    std::unique_ptr<DoClient> do_client;
-    std::unique_ptr<SpQuorum> quorum;
-    std::unique_ptr<telemetry::WorkloadMonitor> workload;  // null = off
-    std::set<Bytes> live_keys;
-    size_t ops_driven = 0;
-    size_t epochs_closed = 0;
-
-    explicit Feed(shard::ShardMap map) : sp(std::move(map)) {}
+  struct Tenant {
+    std::string name;
+    std::unique_ptr<GrubSystem> system;
+    std::vector<EpochGas> epochs;
   };
 
-  void FlushReadGroup(Feed& feed);
-  /// Feeds `count` operations from `trace` starting at `cursor` into the
-  /// feed's group/epoch machinery; returns ops consumed.
-  size_t DriveGroup(Feed& feed, const workload::Trace& trace, size_t& cursor,
-                    size_t& ops_in_epoch, size_t& groups_in_epoch);
-
   chain::Blockchain chain_;
-  std::vector<std::unique_ptr<Feed>> feeds_;
+  std::vector<Tenant> feeds_;
 };
 
 }  // namespace grub::core

@@ -41,7 +41,7 @@ void GrubStore::gScan(const Bytes& start, const Bytes& end, Callback cb) {
   const size_t misses = system_.Consumer().misses_received();
   system_.Consumer().QueueScan(start, end);
   chain::Transaction tx;
-  tx.from = GrubSystem::kUserAccount;
+  tx.from = system_.UserAccount();
   tx.to = system_.ConsumerAddress();
   tx.function = ConsumerContract::kRunFn;
   tx.calldata = ConsumerContract::EncodeRun(1);

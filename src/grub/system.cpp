@@ -1,6 +1,7 @@
 #include "grub/system.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "workload/trace.h"
 
@@ -35,13 +36,51 @@ std::vector<Bytes> IndexedKeyBoundaries(uint64_t key_count, size_t shards) {
   return boundaries;
 }
 
+namespace {
+
+// Disjoint account ranges per feed on a shared chain, clear of a standalone
+// system's 1001..1003.
+constexpr chain::Address kFeedAccountBase = 2001;
+constexpr chain::Address kAccountsPerFeed = 3;
+
+// A borrowed chain's settings are its owner's: options that would attach
+// something to the chain itself cannot be honoured per feed.
+SystemOptions CheckFeedOptions(SystemOptions options) {
+  if (!options.fault_schedule.empty() || options.enable_telemetry ||
+      options.enable_tracing) {
+    throw std::invalid_argument(
+        "a feed on a shared chain takes no fault schedule, telemetry or "
+        "tracing");
+  }
+  return options;
+}
+
+}  // namespace
+
 GrubSystem::GrubSystem(SystemOptions options,
                        std::unique_ptr<ReplicationPolicy> policy)
-    : options_(options),
-      chain_(options.chain_params),
-      sp_(MakeShardMap(options), options.sp_db_path) {
+    : GrubSystem(std::make_unique<chain::Blockchain>(options.chain_params),
+                 nullptr, kDoAccount, std::move(options), std::move(policy)) {}
+
+GrubSystem::GrubSystem(chain::Blockchain& chain, size_t feed,
+                       SystemOptions options,
+                       std::unique_ptr<ReplicationPolicy> policy)
+    : GrubSystem(nullptr, &chain,
+                 kFeedAccountBase +
+                     static_cast<chain::Address>(feed) * kAccountsPerFeed,
+                 CheckFeedOptions(std::move(options)), std::move(policy)) {}
+
+GrubSystem::GrubSystem(std::unique_ptr<chain::Blockchain> owned,
+                       chain::Blockchain* borrowed,
+                       chain::Address first_account, SystemOptions options,
+                       std::unique_ptr<ReplicationPolicy> policy)
+    : options_(std::move(options)),
+      owned_chain_(std::move(owned)),
+      chain_(owned_chain_ != nullptr ? *owned_chain_ : *borrowed),
+      accounts_{first_account, first_account + 1, first_account + 2},
+      sp_(MakeShardMap(options_), options_.sp_db_path) {
   StorageManagerContract::Config config;
-  config.do_address = kDoAccount;
+  config.do_address = accounts_.do_account;
   config.shard_map = sp_.Map();
   config.trace_reads_on_chain =
       options_.trace_reads_on_chain || options_.trace_writes_on_chain;
@@ -58,7 +97,7 @@ GrubSystem::GrubSystem(SystemOptions options,
   consumer_address_ = chain_.Deploy(std::move(consumer));
 
   DoClient::Options do_options;
-  do_options.do_account = kDoAccount;
+  do_options.do_account = accounts_.do_account;
   do_options.storage_manager = manager_address_;
   do_client_ =
       std::make_unique<DoClient>(chain_, sp_, do_options, std::move(policy));
@@ -71,7 +110,7 @@ GrubSystem::GrubSystem(SystemOptions options,
       options_.blacklist_after_rejections;
   quorum_options.liveness_timeout_polls = options_.liveness_timeout_polls;
   quorum_ = std::make_unique<SpQuorum>(chain_, sp_, manager_address_,
-                                       kSpAccount, quorum_options,
+                                       accounts_.sp, quorum_options,
                                        options_.dedup_deliver_batch);
 
   if (options_.enable_telemetry || options_.enable_tracing) {
@@ -124,7 +163,12 @@ GrubSystem::GrubSystem(SystemOptions options,
 void GrubSystem::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
   do_client_->Preload(records);
   for (const auto& [key, value] : records) live_keys_.insert(key);
-  chain_.ResetGasCounters();
+  if (owned_chain_ != nullptr) chain_.ResetGasCounters();
+}
+
+uint64_t GrubSystem::OwnGas() const {
+  return chain_.GasUsedBy(manager_address_) +
+         chain_.GasUsedBy(consumer_address_);
 }
 
 std::vector<Bytes> GrubSystem::ExpandScan(const Bytes& start,
@@ -164,7 +208,7 @@ std::string GrubSystem::PlacementJson() const {
 
 PriceReplayModel GrubSystem::OracleReplayModel() const {
   PriceReplayModel model;
-  model.schedule = &options_.chain_params.price;
+  model.schedule = &chain_.Params().price;
   model.start_block = chain_.CurrentBlockNumber();
   // ~3 mined blocks per driven group: consumer run + deliver + the epoch
   // update amortized over its groups.
@@ -177,7 +221,7 @@ PriceReplayModel GrubSystem::OracleReplayModel() const {
 void GrubSystem::EnableWorkloadOracle(const workload::Trace& trace) {
   if (workload_ == nullptr) return;
   oracle_ = std::make_unique<OfflineOptimalPolicy>(
-      trace, BreakEvenK(options_.chain_params.gas), OracleReplayModel());
+      trace, BreakEvenK(chain_.Params().gas), OracleReplayModel());
 }
 
 void GrubSystem::SetWatch(uint64_t every_blocks, std::ostream* out) {
@@ -210,7 +254,7 @@ void GrubSystem::MaybeEmitWatch() {
 void GrubSystem::FlushReadGroup() {
   if (consumer_->QueuedCount() == 0) return;
   chain::Transaction tx;
-  tx.from = kUserAccount;
+  tx.from = accounts_.user;
   tx.to = consumer_address_;
   tx.function = ConsumerContract::kRunFn;
   tx.cause = telemetry::GasCause::kGGetSync;
@@ -245,80 +289,70 @@ void GrubSystem::EndEpoch() {
 }
 
 std::vector<EpochGas> GrubSystem::Drive(const workload::Trace& trace) {
-  std::vector<EpochGas> epochs;
-  uint64_t epoch_start_gas = chain_.TotalGasUsed();
-  chain::GasBreakdown epoch_start_breakdown = chain_.TotalBreakdown();
-  size_t ops_in_group = 0;
-  size_t groups_in_epoch = 0;
-  size_t ops_in_epoch = 0;
+  size_t cursor = 0;
+  while (DriveStep(trace, cursor)) {
+  }
+  return FinishDrive();
+}
 
+void GrubSystem::CloseGroup() {
+  FlushReadGroup();
   // Under a non-unit schedule the policy hears the going price once per read
   // group (its online view of the chain's fee market). Constant-price runs
   // never take this branch — byte-identical to the pre-scenario driver.
-  const bool dynamic_price = !options_.chain_params.price.IsUnit();
+  const chain::GasPriceSchedule& schedule = chain_.Params().price;
+  if (!schedule.IsUnit()) {
+    const uint64_t block = chain_.CurrentBlockNumber();
+    const chain::PricePoint p = schedule.At(block);
+    do_client_->MutablePolicy().ObservePrice(p.exec_milli, p.storage_milli,
+                                             block);
+  }
+  drive_.ops_in_group = 0;
+  drive_.groups_in_epoch += 1;
+}
 
-  auto close_group = [&] {
-    FlushReadGroup();
-    if (dynamic_price) {
-      const uint64_t block = chain_.CurrentBlockNumber();
-      const chain::PricePoint p = options_.chain_params.price.At(block);
-      do_client_->MutablePolicy().ObservePrice(p.exec_milli, p.storage_milli,
-                                               block);
+void GrubSystem::CloseEpoch() {
+  do_client_->EndEpoch();
+  // Saturating delta: a reorg can roll the cumulative counters below the
+  // value captured at the epoch start.
+  const uint64_t gas_now = OwnGas();
+  EpochGas epoch;
+  epoch.gas = gas_now >= drive_.epoch_start_gas
+                  ? gas_now - drive_.epoch_start_gas
+                  : 0;
+  epoch.ops = drive_.ops_in_epoch;
+  epoch.touched_shards = do_client_->LastEpochTouchedShards();
+  std::vector<double> shard_heat;
+  if (workload_ != nullptr) {
+    const uint64_t block = chain_.CurrentBlockNumber();
+    workload_->OnEpochClose(epoch.ops, epoch.gas, block);
+    shard_heat = workload_->ShardHeat(block);
+  }
+  if (telemetry_ != nullptr) {
+    telemetry::EpochPrice price;
+    const chain::GasPriceSchedule& schedule = chain_.Params().price;
+    if (!schedule.IsUnit()) {
+      const chain::PricePoint p = schedule.At(chain_.CurrentBlockNumber());
+      price.valid = true;
+      price.exec_milli = p.exec_milli;
+      price.storage_milli = p.storage_milli;
     }
-    ops_in_group = 0;
-    groups_in_epoch += 1;
-  };
+    telemetry_->CloseEpoch(epoch.ops, epoch.touched_shards,
+                           std::move(shard_heat), price);
+  }
+  drive_.epochs.push_back(epoch);
+  drive_.epoch_start_gas = gas_now;
+  drive_.groups_in_epoch = 0;
+  drive_.ops_in_epoch = 0;
+}
 
-  // Saturating deltas: a reorg can roll the cumulative counters below the
-  // values captured at the epoch start.
-  auto sat_sub = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
-
-  auto close_epoch = [&] {
-    do_client_->EndEpoch();
-    EpochGas epoch;
-    epoch.gas = sat_sub(chain_.TotalGasUsed(), epoch_start_gas);
-    epoch.ops = ops_in_epoch;
-    epoch.breakdown = chain_.TotalBreakdown();
-    epoch.breakdown.tx = sat_sub(epoch.breakdown.tx, epoch_start_breakdown.tx);
-    epoch.breakdown.storage_insert = sat_sub(
-        epoch.breakdown.storage_insert, epoch_start_breakdown.storage_insert);
-    epoch.breakdown.storage_update = sat_sub(
-        epoch.breakdown.storage_update, epoch_start_breakdown.storage_update);
-    epoch.breakdown.storage_read = sat_sub(epoch.breakdown.storage_read,
-                                           epoch_start_breakdown.storage_read);
-    epoch.breakdown.hash = sat_sub(epoch.breakdown.hash,
-                                   epoch_start_breakdown.hash);
-    epoch.breakdown.log = sat_sub(epoch.breakdown.log,
-                                  epoch_start_breakdown.log);
-    epoch.breakdown.other = sat_sub(epoch.breakdown.other,
-                                    epoch_start_breakdown.other);
-    epochs.push_back(epoch);
-    epochs.back().touched_shards = do_client_->LastEpochTouchedShards();
-    std::vector<double> shard_heat;
-    if (workload_ != nullptr) {
-      const uint64_t block = chain_.CurrentBlockNumber();
-      workload_->OnEpochClose(ops_in_epoch, epoch.gas, block);
-      shard_heat = workload_->ShardHeat(block);
-    }
-    if (telemetry_ != nullptr) {
-      telemetry::EpochPrice price;
-      if (dynamic_price) {
-        const chain::PricePoint p =
-            options_.chain_params.price.At(chain_.CurrentBlockNumber());
-        price.valid = true;
-        price.exec_milli = p.exec_milli;
-        price.storage_milli = p.storage_milli;
-      }
-      telemetry_->CloseEpoch(ops_in_epoch, do_client_->LastEpochTouchedShards(),
-                             std::move(shard_heat), price);
-    }
-    epoch_start_gas = chain_.TotalGasUsed();
-    epoch_start_breakdown = chain_.TotalBreakdown();
-    groups_in_epoch = 0;
-    ops_in_epoch = 0;
-  };
-
-  for (const auto& op : trace) {
+bool GrubSystem::DriveStep(const workload::Trace& trace, size_t& cursor) {
+  if (!drive_.open) {
+    drive_.open = true;
+    drive_.epoch_start_gas = OwnGas();
+  }
+  while (cursor < trace.size()) {
+    const workload::Operation& op = trace[cursor++];
     size_t op_weight = 1;
     // The armed oracle replays point observations alongside the online
     // policy (scans are skipped, matching the trace-summary regret
@@ -348,18 +382,24 @@ std::vector<EpochGas> GrubSystem::Drive(const workload::Trace& trace) {
         break;
       }
     }
-    ops_in_group += op_weight;
-    ops_in_epoch += op_weight;
+    drive_.ops_in_group += op_weight;
+    drive_.ops_in_epoch += op_weight;
 
-    if (ops_in_group >= options_.ops_per_tx) {
-      close_group();
-      if (groups_in_epoch >= options_.txs_per_epoch) close_epoch();
+    if (drive_.ops_in_group >= options_.ops_per_tx) {
+      CloseGroup();
+      if (drive_.groups_in_epoch >= options_.txs_per_epoch) CloseEpoch();
+      break;
     }
   }
+  return cursor < trace.size();
+}
 
+std::vector<EpochGas> GrubSystem::FinishDrive() {
   // Flush any partial group/epoch.
-  if (ops_in_group > 0) close_group();
-  if (ops_in_epoch > 0) close_epoch();
+  if (drive_.ops_in_group > 0) CloseGroup();
+  if (drive_.ops_in_epoch > 0) CloseEpoch();
+  std::vector<EpochGas> epochs = std::move(drive_.epochs);
+  drive_ = DriveState{};
   return epochs;
 }
 

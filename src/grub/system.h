@@ -8,6 +8,10 @@
 // degenerate policies; the BL3 dynamic baselines set the contract's
 // on-chain-trace flags.
 //
+// A standalone system owns its chain. A feed of a multi-feed deployment
+// (multi_feed.h) is the same system built against a borrowed, shared chain:
+// its own contracts, accounts, shards, SP and DO, and the same driver.
+//
 // Trace driving model (matching the paper's experiment setup):
 //  * operations are grouped `ops_per_tx` to a transaction (32 in the micro
 //    benches — "each [tx] encoding 32 operations", Fig. 8a);
@@ -56,6 +60,9 @@ struct SystemOptions {
   /// Merge duplicate requests within one deliver batch (ablation; the
   /// paper's prototype serves each request individually).
   bool dedup_deliver_batch = false;
+  /// The owned chain's settings. Chain-wide, like enable_telemetry,
+  /// enable_tracing and fault_schedule below: a feed on a shared chain reads
+  /// the chain's Params() instead, and rejects those three.
   chain::ChainParams chain_params = {};
   std::string sp_db_path;  // empty = in-memory SP store
   /// Attach a Telemetry bundle: Gas attribution on the chain, per-epoch
@@ -114,11 +121,11 @@ struct SystemOptions {
   uint64_t workload_rate_window_blocks = 16;
 };
 
-/// Gas measured over one epoch of driving.
+/// Gas measured over one epoch of driving: what the system's own two
+/// contracts metered (on a standalone chain, every transaction).
 struct EpochGas {
   uint64_t gas = 0;
   size_t ops = 0;
-  chain::GasBreakdown breakdown;
   /// Shards whose trees changed this epoch (1 at most in single-shard runs).
   size_t touched_shards = 0;
 
@@ -129,14 +136,37 @@ struct EpochGas {
 
 class GrubSystem {
  public:
+  /// A standalone deployment on its own chain (built from
+  /// `options.chain_params`), with the accounts kDoAccount..kUserAccount.
   GrubSystem(SystemOptions options, std::unique_ptr<ReplicationPolicy> policy);
 
-  /// Bulk-loads records and zeroes the Gas counters.
+  /// Feed number `feed` of a deployment sharing `chain` (not owned; must
+  /// outlive the system). Its accounts are derived from `feed`, so feeds on
+  /// one chain never share one. The chain's settings are the chain's:
+  /// `options.chain_params` is not consulted (the chain's Params() are), and
+  /// options that attach to the chain itself — a fault schedule, a telemetry
+  /// bundle or tracer — throw std::invalid_argument.
+  GrubSystem(chain::Blockchain& chain, size_t feed, SystemOptions options,
+             std::unique_ptr<ReplicationPolicy> policy);
+
+  /// Bulk-loads records. A standalone system then zeroes the chain's Gas
+  /// counters; on a shared chain that is the owner's call.
   void Preload(const std::vector<std::pair<Bytes, Bytes>>& records);
 
   /// Drives a trace to completion; returns the per-epoch Gas series.
+  /// Equivalent to DriveStep until it returns false, then FinishDrive.
   std::vector<EpochGas> Drive(const workload::Trace& trace);
 
+  /// The resumable driver step: drives `trace` from `cursor` until one
+  /// transaction group closes (closing the epoch when it is due) or the
+  /// trace ends, and advances `cursor`. Returns whether ops remain. Steps of
+  /// several systems on one chain may interleave freely.
+  bool DriveStep(const workload::Trace& trace, size_t& cursor);
+  /// Closes a partial group and epoch, and returns the epochs closed since
+  /// the previous FinishDrive.
+  std::vector<EpochGas> FinishDrive();
+
+  /// The chain's totals: on a shared chain, every feed's Gas.
   uint64_t TotalGas() const { return chain_.TotalGasUsed(); }
   const chain::GasBreakdown& TotalBreakdown() const {
     return chain_.TotalBreakdown();
@@ -150,6 +180,7 @@ class GrubSystem {
   shard::ShardedAdsSp& ShardedSp() { return sp_; }
   const shard::ShardMap& Shards() const { return sp_.Map(); }
   DoClient& Do() { return *do_client_; }
+  const DoClient& Do() const { return *do_client_; }
   ConsumerContract& Consumer() { return *consumer_; }
   /// The ACTIVE watchdog daemon — single-replica deployments have exactly
   /// one, so existing call sites keep their meaning under the quorum.
@@ -159,6 +190,8 @@ class GrubSystem {
   const SpQuorum& Quorum() const { return *quorum_; }
   chain::Address ManagerAddress() const { return manager_address_; }
   chain::Address ConsumerAddress() const { return consumer_address_; }
+  /// The DU account that sends `run` transactions (kUserAccount standalone).
+  chain::Address UserAccount() const { return accounts_.user; }
 
   /// The multi-tier placement summary grubctl embeds verbatim under --json
   /// "placement" (and the placement golden test pins): policy name, per-tier
@@ -220,8 +253,23 @@ class GrubSystem {
   static constexpr chain::Address kDoAccount = 1001;
   static constexpr chain::Address kSpAccount = 1002;
   static constexpr chain::Address kUserAccount = 1003;
+  static_assert(kSpAccount == kDoAccount + 1 && kUserAccount == kDoAccount + 2);
 
  private:
+  struct Accounts {
+    chain::Address do_account;
+    chain::Address sp;
+    chain::Address user;
+  };
+  /// The DO, SP and DU accounts are `first_account` and the next two.
+  GrubSystem(std::unique_ptr<chain::Blockchain> owned,
+             chain::Blockchain* borrowed, chain::Address first_account,
+             SystemOptions options, std::unique_ptr<ReplicationPolicy> policy);
+
+  /// Gas metered by this system's two contracts (exact on a shared chain).
+  uint64_t OwnGas() const;
+  void CloseGroup();
+  void CloseEpoch();
   void FlushReadGroup();
   std::vector<Bytes> ExpandScan(const Bytes& start, uint32_t len) const;
   /// Feeds one point observation to the armed oracle replay (no-op without
@@ -231,7 +279,9 @@ class GrubSystem {
   void MaybeEmitWatch();
 
   SystemOptions options_;
-  chain::Blockchain chain_;
+  std::unique_ptr<chain::Blockchain> owned_chain_;  // null = borrowed
+  chain::Blockchain& chain_;
+  Accounts accounts_;
   shard::ShardedAdsSp sp_;
   chain::Address manager_address_ = chain::kNullAddress;
   chain::Address consumer_address_ = chain::kNullAddress;
@@ -248,6 +298,17 @@ class GrubSystem {
   uint64_t watch_windows_emitted_ = 0;    // watch windows already snapshot
 
   std::set<Bytes> live_keys_;  // for scan expansion/bounds
+
+  // Driver state carried between DriveStep calls until FinishDrive.
+  struct DriveState {
+    bool open = false;  // a drive is in progress (epoch start captured)
+    uint64_t epoch_start_gas = 0;
+    size_t ops_in_group = 0;
+    size_t groups_in_epoch = 0;
+    size_t ops_in_epoch = 0;
+    std::vector<EpochGas> epochs;
+  };
+  DriveState drive_;
 };
 
 /// Convenience: Eq. 1's K = C_update / C_read_off for a schedule.

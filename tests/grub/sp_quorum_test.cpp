@@ -234,16 +234,14 @@ TEST(SpQuorum, ByzantineFeedFailsOverWithoutTouchingItsNeighbour) {
   // SAME chain — the blast radius of a Byzantine SP is its own feed, and
   // even there failover restores every read.
   MultiFeedSystem system;
-  FeedOptions attacked;
-  attacked.name = "attacked";
+  SystemOptions attacked;
   attacked.ops_per_tx = 1;  // one poll per read: enough polls to blacklist
   attacked.sp_replicas = 2;
   attacked.adversary_spec = "0:forge*";
-  FeedOptions honest;
-  honest.name = "honest";
+  SystemOptions honest;
   honest.ops_per_tx = 1;
-  const size_t f0 = system.AddFeed(attacked, MakeBL1());
-  const size_t f1 = system.AddFeed(honest, MakeBL1());
+  const size_t f0 = system.AddFeed("attacked", attacked, MakeBL1());
+  const size_t f1 = system.AddFeed("honest", honest, MakeBL1());
   system.Preload(f0, SmallFeed());
   system.Preload(f1, SmallFeed());
   system.ResetGasCounters();

@@ -112,16 +112,14 @@ TEST(ShardedSystem, PerShardUpdateGasCoversInvolvedShardsOnly) {
 
 TEST(MultiFeed, FeedsAreIsolatedOnOneChain) {
   MultiFeedSystem system;
-  FeedOptions oracle;
-  oracle.name = "oracle";
+  SystemOptions oracle;
   oracle.ops_per_tx = 8;
-  FeedOptions kv;
-  kv.name = "kv";
+  SystemOptions kv;
   kv.shards = 4;
   kv.shard_boundaries = IndexedKeyBoundaries(kKeys, 4);
   kv.ops_per_tx = 8;
-  const size_t f0 = system.AddFeed(oracle, MakeBL1());
-  const size_t f1 = system.AddFeed(kv, MakeBL1());
+  const size_t f0 = system.AddFeed("oracle", oracle, MakeBL1());
+  const size_t f1 = system.AddFeed("kv", kv, MakeBL1());
   ASSERT_EQ(system.Shards(f0).Count(), 1u);
   ASSERT_EQ(system.Shards(f1).Count(), 4u);
   ASSERT_NE(system.ManagerAddress(f0), system.ManagerAddress(f1));
@@ -155,16 +153,14 @@ TEST(MultiFeed, FeedsAreIsolatedOnOneChain) {
 
 TEST(MultiFeed, GasAttributionIsExactAndExhaustive) {
   MultiFeedSystem system;
-  FeedOptions a;
-  a.name = "a";
+  SystemOptions a;
   a.ops_per_tx = 4;
-  FeedOptions b;
-  b.name = "b";
+  SystemOptions b;
   b.shards = 2;
   b.shard_boundaries = IndexedKeyBoundaries(kKeys, 2);
   b.ops_per_tx = 4;
-  system.AddFeed(a, MakeBL1());
-  system.AddFeed(b, MakeBL1());
+  system.AddFeed("a", a, MakeBL1());
+  system.AddFeed("b", b, MakeBL1());
   system.Preload(0, PreloadRecords("a"));
   system.Preload(1, PreloadRecords("b"));
   system.ResetGasCounters();

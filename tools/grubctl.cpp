@@ -88,7 +88,7 @@ void PrintUsage() {
       "                  overrides --policy (storage ≡ bl2, offchain ≡ bl1\n"
       "                  Gas-exactly; adaptive picks per key by the 4-way\n"
       "                  cost argmin) and appends a placement: summary line.\n"
-      "                  Incompatible with --feeds\n"
+      "                  With --feeds: every feed's policy\n"
       "  --workload [W]  ratio:R | ycsb:X | ycsb:X,Y | oracle | btcrelay\n"
       "                  (default ratio:4); BARE --workload (no value) keeps\n"
       "                  the default spec and appends the workload-observatory\n"
@@ -107,7 +107,8 @@ void PrintUsage() {
       "                  calibrated price schedule, adversary and quorum\n"
       "                  replace --workload/--price/--adversary/--sps; the\n"
       "                  scale flags below still size the run. With\n"
-      "                  --leaderboard: restrict the matrix to scenario N\n"
+      "                  --leaderboard: restrict the matrix to scenario N.\n"
+      "                  Incompatible with --feeds\n"
       "  --leaderboard   run the policy x scenario leaderboard (gas + regret\n"
       "                  vs the price-aware offline optimal per cell) and\n"
       "                  exit; --scenario / an explicit --policy filter the\n"
@@ -152,15 +153,20 @@ void PrintUsage() {
       "                  --faults rule grammar; '<i>:' prefixes bind a rule\n"
       "                  group to replica i (bare group = replica 0).\n"
       "                  Attacks mutate delivers only in GRUB_FAULTS builds.\n"
-      "                  Incompatible with --feeds; seeded by --fault-seed\n"
+      "                  Seeded by --fault-seed. With --feeds: every feed's\n"
+      "                  quorum (like --sps)\n"
       "  --shards N      partition the keyspace into N Merkle-forest shards\n"
       "                  (default 1 = the legacy single tree, Gas-identical);\n"
       "                  boundaries are the preloaded-key quantiles\n"
       "  --feeds LIST    comma-separated workload specs (--workload grammar);\n"
       "                  deploys one isolated feed per spec on a SHARED chain\n"
       "                  (own contracts/accounts/shards) and reports per-feed\n"
-      "                  Gas; all feeds use --policy/--records/--shards.\n"
-      "                  Incompatible with --faults/--trace-out/--converged\n"
+      "                  Gas. Every feed takes the run's per-feed flags\n"
+      "                  (--policy/--tier, scale, --shards, --sps/--adversary,\n"
+      "                  --range-scans); --price is the shared chain's.\n"
+      "                  Incompatible with --scenario/--faults/--trace-out/\n"
+      "                  --trace-summary/--telemetry/--gas-breakdown/\n"
+      "                  --metrics-out/--watch/--converged\n"
       "  --watch N       stream one deterministic workload-observatory JSONL\n"
       "                  snapshot line ('{\"block\":...') to stdout every N\n"
       "                  blocks while driving; same seed + flags reproduce\n"
@@ -399,6 +405,74 @@ std::unique_ptr<core::ReplicationPolicy> MakeTierPolicy(
   return std::make_unique<tier::StaticTierPolicy>(t);
 }
 
+std::unique_ptr<core::ReplicationPolicy> MakeRunPolicy(
+    const Args& args, const workload::Trace& trace,
+    const chain::GasSchedule& gas,
+    const core::PriceReplayModel& replay = core::PriceReplayModel()) {
+  return args.tier.empty() ? MakePolicy(args.policy, trace, gas, replay)
+                           : MakeTierPolicy(args, gas);
+}
+
+// The one args -> SystemOptions mapping, for the single run and for every
+// feed of a --feeds run alike. --json's extra telemetry is the single run's
+// (its document embeds the attribution matrix).
+core::SystemOptions OptionsFromArgs(const Args& args,
+                                    const chain::GasPriceSchedule& price) {
+  core::SystemOptions options;
+  options.ops_per_tx = args.ops_per_tx;
+  options.txs_per_epoch = args.txs_per_epoch;
+  options.scan_mode = args.range_scans ? core::ScanMode::kRangeProof
+                                       : core::ScanMode::kExpandPointReads;
+  options.enable_telemetry =
+      args.telemetry || args.gas_breakdown || !args.metrics_out.empty();
+  options.enable_tracing = !args.trace_out.empty() || args.trace_summary;
+  options.fault_schedule = args.faults;
+  options.fault_seed = args.fault_seed;
+  options.sp_replicas = args.sps;
+  options.adversary_spec = args.adversary;
+  options.adversary_seed = args.fault_seed;
+  options.shards = args.shards;
+  // The observatory is on for the bare --workload table, the --watch stream,
+  // and --json (which pins a workload.observatory section). Gas-invisible by
+  // contract — ci.sh diffs the Gas report with the monitor on vs off.
+  options.enable_workload_monitor =
+      args.workload_report || args.watch > 0 || args.json;
+  if (args.shards > 1) {
+    // grubctl preloads MakeKey(0..records): use the key quantiles, not the
+    // uniform u64-prefix split (ASCII keys collapse into one prefix bucket).
+    options.shard_boundaries =
+        core::IndexedKeyBoundaries(args.records, args.shards);
+  }
+  options.chain_params.price = price;
+  return options;
+}
+
+std::vector<std::pair<Bytes, Bytes>> MakePreload(const Args& args) {
+  std::vector<std::pair<Bytes, Bytes>> preload;
+  preload.reserve(args.records);
+  for (uint64_t i = 0; i < args.records; ++i) {
+    preload.emplace_back(workload::MakeKey(i), Bytes(args.record_bytes, 0x11));
+  }
+  return preload;
+}
+
+void PrintProfile() {
+#if GRUB_TELEMETRY
+  std::printf("\nhot-path probes (wall-clock, ns):\n");
+  std::printf("  %-16s %10s %14s %12s\n", "site", "count", "total_ns",
+              "max_ns");
+  for (const auto& p : telemetry::ProfileRegistry::Snapshot()) {
+    std::printf("  %-16s %10llu %14llu %12llu\n", p.name,
+                static_cast<unsigned long long>(p.count),
+                static_cast<unsigned long long>(p.total_ns),
+                static_cast<unsigned long long>(p.max_ns));
+  }
+#else
+  std::printf("\nhot-path probes: compiled out "
+              "(rebuild with -DGRUB_TELEMETRY=ON)\n");
+#endif
+}
+
 workload::Trace MakeWorkloadSpec(const Args& args, const std::string& spec) {
   auto colon = spec.find(':');
   const std::string name = spec.substr(0, colon);
@@ -433,10 +507,6 @@ workload::Trace MakeWorkloadSpec(const Args& args, const std::string& spec) {
   std::exit(2);
 }
 
-workload::Trace MakeWorkload(const Args& args) {
-  return MakeWorkloadSpec(args, args.workload);
-}
-
 // Per-key flips a clairvoyant policy would pay on the same trace — the
 // baseline for the summary's regret column. Scans are skipped: the oracle
 // only flips at writes, and scan expansion needs the live key set. An active
@@ -465,6 +535,24 @@ lab::ScenarioScale ScaleFromArgs(const Args& args) {
   scale.ops_per_tx = args.ops_per_tx;
   scale.txs_per_epoch = args.txs_per_epoch;
   return scale;
+}
+
+// The replay model a bare non-unit --price run gives the price-aware
+// clairvoyant baseline (offline / --trace-summary): an ad-hoc scenario over
+// `trace`, probe-calibrated like a registered one. The model points into
+// `plan`, which must outlive it.
+core::PriceReplayModel AdhocReplayModel(const Args& args,
+                                        const chain::GasPriceSchedule& price,
+                                        const workload::Trace& trace,
+                                        lab::ScenarioPlan& plan) {
+  lab::Scenario adhoc;
+  adhoc.name = "price";
+  adhoc.make_trace = [&trace](const lab::ScenarioScale&) { return trace; };
+  adhoc.make_price = [&price](uint64_t, uint64_t) { return price; };
+  adhoc.adversary_spec = args.adversary;
+  adhoc.sp_replicas = args.sps;
+  plan = lab::PlanScenario(adhoc, ScaleFromArgs(args));
+  return plan.ReplayModel();
 }
 
 // --leaderboard: the full policy x scenario matrix (bench_leaderboard's
@@ -504,37 +592,49 @@ int RunLeaderboardCmd(const Args& args) {
 }
 
 // --feeds: several isolated feeds on one shared chain, per-feed Gas exact.
-int RunMultiFeed(const Args& args) {
+// Each feed is built from the same args -> options mapping as a single run.
+int RunMultiFeed(const Args& args, const chain::GasPriceSchedule& price) {
   const std::vector<std::string> specs = SplitFeeds(args.feeds);
   if (specs.empty()) {
     std::fprintf(stderr, "--feeds: no workload specs\n");
     return 2;
   }
 
-  core::MultiFeedSystem system;
+  chain::ChainParams params;
+  params.price = price;
+  // As in a single run, `offline` replays a non-unit schedule price-aware,
+  // calibrated on a probe of the feed's own trace.
+  const bool price_aware =
+      !price.IsUnit() && args.policy.rfind("offline", 0) == 0;
+  std::vector<lab::ScenarioPlan> plans(specs.size());  // outlive the models
+  core::MultiFeedSystem system(params);
   std::vector<workload::Trace> traces;
-  chain::GasSchedule gas;  // default schedule (matches SystemOptions)
-  for (const auto& spec : specs) {
-    workload::Trace trace = MakeWorkloadSpec(args, spec);
-    core::FeedOptions feed;
-    feed.name = spec;
-    feed.shards = args.shards;
-    feed.shard_boundaries =
-        core::IndexedKeyBoundaries(args.records, args.shards);
-    feed.ops_per_tx = args.ops_per_tx;
-    feed.txs_per_epoch = args.txs_per_epoch;
-    system.AddFeed(std::move(feed), MakePolicy(args.policy, trace, gas));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    workload::Trace trace = MakeWorkloadSpec(args, specs[i]);
+    const core::PriceReplayModel replay =
+        price_aware ? AdhocReplayModel(args, price, trace, plans[i])
+                    : core::PriceReplayModel();
+    try {
+      system.AddFeed(specs[i], OptionsFromArgs(args, price),
+                     MakeRunPolicy(args, trace, params.gas, replay));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
     traces.push_back(std::move(trace));
   }
 
-  std::vector<std::pair<Bytes, Bytes>> preload;
-  preload.reserve(args.records);
-  for (uint64_t i = 0; i < args.records; ++i) {
-    preload.emplace_back(workload::MakeKey(i), Bytes(args.record_bytes, 0x11));
+  const auto preload = MakePreload(args);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    system.Preload(i, preload);
+    if (system.Feed(i).Workload() != nullptr) {
+      system.Feed(i).EnableWorkloadOracle(traces[i]);
+    }
   }
-  for (size_t i = 0; i < specs.size(); ++i) system.Preload(i, preload);
-  if (args.workload_report) system.EnableWorkloadMonitors();
   system.ResetGasCounters();
+#if GRUB_TELEMETRY
+  if (args.profile) telemetry::ProfileRegistry::Enable(true);
+#endif
   system.DriveAll(traces);
 
   const auto stats = system.Stats();
@@ -544,7 +644,8 @@ int RunMultiFeed(const Args& args) {
   if (args.json) {
     using telemetry::JsonValue;
     JsonValue root = JsonValue::Object();
-    root.Set("policy", JsonValue::String(args.policy));
+    root.Set("policy",
+             JsonValue::String(system.Feed(0).Do().Policy().Name()));
     root.Set("total_gas", JsonValue::NumberU64(total_gas));
     JsonValue feeds = JsonValue::Array();
     for (size_t fi = 0; fi < stats.size(); ++fi) {
@@ -563,9 +664,9 @@ int RunMultiFeed(const Args& args) {
         per_shard.Append(JsonValue::NumberU64(g));
       }
       feed.Set("per_shard_update_gas", std::move(per_shard));
-      if (system.Workload(fi) != nullptr) {
+      if (system.Feed(fi).Workload() != nullptr) {
         feed.Set("observatory",
-                 system.Workload(fi)->ToJson(
+                 system.Feed(fi).Workload()->ToJson(
                      system.Chain().CurrentBlockNumber()));
       }
       feeds.Append(std::move(feed));
@@ -575,23 +676,39 @@ int RunMultiFeed(const Args& args) {
     return 0;
   }
 
-  std::printf("multi-feed: %zu feeds on one chain, %zu shard(s) each\n\n",
+  std::printf("multi-feed: %zu feeds on one chain, %zu shard(s) each\n",
               stats.size(), static_cast<size_t>(args.shards));
-  for (const auto& s : stats) {
+  std::printf("policy:   %s\n", system.Feed(0).Do().Policy().Name().c_str());
+  if (!price.IsUnit()) std::printf("price:    %s\n", price.Describe().c_str());
+  std::printf("\n");
+  const bool show_quorum = args.sps > 1 || !args.adversary.empty();
+  for (size_t fi = 0; fi < stats.size(); ++fi) {
+    const auto& s = stats[fi];
     std::printf("  %-16s %10llu Gas / %6zu ops (%.0f Gas/op), "
                 "%zu epochs  [manager %llu + consumer %llu]\n",
                 s.name.c_str(), static_cast<unsigned long long>(s.gas), s.ops,
                 s.PerOp(), s.epochs,
                 static_cast<unsigned long long>(s.manager_gas),
                 static_cast<unsigned long long>(s.consumer_gas));
+    if (show_quorum) {
+      const core::SpQuorum& quorum = system.Quorum(fi);
+      std::printf("    quorum: %zu SP replicas, %llu failovers, "
+                  "%llu blacklists, active sp%zu\n",
+                  quorum.ReplicaCount(),
+                  static_cast<unsigned long long>(quorum.Failovers()),
+                  static_cast<unsigned long long>(quorum.Blacklists()),
+                  quorum.ActiveIndex());
+    }
   }
   std::printf("\n  total: %llu Gas\n",
               static_cast<unsigned long long>(total_gas));
+  if (args.profile) PrintProfile();
   if (args.workload_report) {
     for (size_t fi = 0; fi < stats.size(); ++fi) {
-      if (system.Workload(fi) == nullptr) continue;
+      if (system.Feed(fi).Workload() == nullptr) continue;
       std::printf("feed %zu (%s):\n", fi, stats[fi].name.c_str());
-      system.Workload(fi)->PrintTable(system.Chain().CurrentBlockNumber());
+      system.Feed(fi).Workload()->PrintTable(
+          system.Chain().CurrentBlockNumber());
     }
   }
   return 0;
@@ -612,6 +729,7 @@ int main(int argc, char** argv) {
 
   if (args.watch > 0 && args.json) {
     std::fprintf(stderr, "--watch is incompatible with --json\n");
+    PrintUsage();
     return 2;
   }
   if (args.leaderboard) {
@@ -620,31 +738,27 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "--leaderboard is incompatible with --feeds/--tier/"
                    "--faults/--adversary/--watch\n");
+      PrintUsage();
       return 2;
     }
     return RunLeaderboardCmd(args);
   }
-  if (!args.scenario.empty() && !args.feeds.empty()) {
-    std::fprintf(stderr, "--scenario is incompatible with --feeds\n");
-    return 2;
-  }
   if (!args.feeds.empty()) {
-    if (!args.faults.empty() || !args.trace_out.empty() || args.converged ||
-        !args.adversary.empty() || args.watch > 0 || !args.tier.empty()) {
+    // What a feed on a shared chain cannot honour: a scenario replaces the
+    // one workload, faults and telemetry attach to the chain itself, and the
+    // watch stream, trace and converged passes are single-run reports.
+    if (!args.scenario.empty() || !args.faults.empty() ||
+        !args.trace_out.empty() || args.trace_summary || args.telemetry ||
+        args.gas_breakdown || !args.metrics_out.empty() || args.watch > 0 ||
+        args.converged) {
       std::fprintf(stderr,
-                   "--feeds is incompatible with --faults/--trace-out/"
-                   "--converged/--adversary/--watch/--tier\n");
+                   "--feeds is incompatible with --scenario/--faults/"
+                   "--trace-out/--trace-summary/--telemetry/--gas-breakdown/"
+                   "--metrics-out/--watch/--converged\n");
+      PrintUsage();
       return 2;
     }
-    return RunMultiFeed(args);
   }
-
-  const bool want_tracing = !args.trace_out.empty() || args.trace_summary;
-  const bool want_telemetry = args.telemetry || args.gas_breakdown ||
-                              !args.metrics_out.empty() || args.json;
-  // With --json, stdout carries exactly one JSON document; the usual text
-  // report is suppressed (auxiliary file writes still happen).
-  const bool text = !args.json;
 
   // --scenario / --price: resolve the effective price schedule up front.
   // A scenario plan replaces the workload, schedule, adversary and quorum
@@ -673,39 +787,21 @@ int main(int argc, char** argv) {
     }
     price = std::move(parsed).value();
   }
+  if (!args.feeds.empty()) return RunMultiFeed(args, price);
 
-  core::SystemOptions options;
-  options.ops_per_tx = args.ops_per_tx;
-  options.txs_per_epoch = args.txs_per_epoch;
-  options.scan_mode = args.range_scans ? core::ScanMode::kRangeProof
-                                       : core::ScanMode::kExpandPointReads;
-  options.enable_telemetry = want_telemetry;
-  options.enable_tracing = want_tracing;
-  options.fault_schedule = args.faults;
-  options.fault_seed = args.fault_seed;
-  options.sp_replicas = args.sps;
-  options.adversary_spec = args.adversary;
-  options.adversary_seed = args.fault_seed;
-  options.shards = args.shards;
-  // The observatory is on for the bare --workload table, the --watch stream,
-  // and --json (which pins a workload.observatory section). Gas-invisible by
-  // contract — ci.sh diffs the Gas report with the monitor on vs off.
-  options.enable_workload_monitor =
-      args.workload_report || args.watch > 0 || args.json;
-  if (args.shards > 1) {
-    // grubctl preloads MakeKey(0..records): use the key quantiles, not the
-    // uniform u64-prefix split (ASCII keys collapse into one prefix bucket).
-    options.shard_boundaries =
-        core::IndexedKeyBoundaries(args.records, args.shards);
-  }
-  options.chain_params.price = price;
+  // With --json, stdout carries exactly one JSON document; the usual text
+  // report is suppressed (auxiliary file writes still happen).
+  const bool text = !args.json;
+  core::SystemOptions options = OptionsFromArgs(args, price);
+  options.enable_telemetry = options.enable_telemetry || args.json;
   if (scenario != nullptr) {
     // Explicit --adversary/--sps flags still win over the scenario's.
     if (args.adversary.empty()) options.adversary_spec = scenario->adversary_spec;
     if (args.sps == 1) options.sp_replicas = scenario->sp_replicas;
   }
 
-  auto trace = scenario != nullptr ? plan.trace : MakeWorkload(args);
+  auto trace = scenario != nullptr ? plan.trace
+                                  : MakeWorkloadSpec(args, args.workload);
   auto stats = workload::ComputeStats(trace);
   const std::string workload_desc =
       scenario != nullptr ? "scenario:" + scenario->name : args.workload;
@@ -738,23 +834,13 @@ int main(int argc, char** argv) {
     replay = plan.ReplayModel();
   } else if (!price.IsUnit() &&
              (args.policy.rfind("offline", 0) == 0 || args.trace_summary)) {
-    lab::Scenario adhoc;
-    adhoc.name = "price";
-    adhoc.make_trace = [&trace](const lab::ScenarioScale&) { return trace; };
-    adhoc.make_price = [&price](uint64_t, uint64_t) { return price; };
-    adhoc.adversary_spec = args.adversary;
-    adhoc.sp_replicas = args.sps;
-    adhoc_plan = lab::PlanScenario(adhoc, ScaleFromArgs(args));
-    replay = adhoc_plan.ReplayModel();
+    replay = AdhocReplayModel(args, price, trace, adhoc_plan);
   }
 
   std::unique_ptr<core::GrubSystem> system_ptr;
   try {
     system_ptr = std::make_unique<core::GrubSystem>(
-        options,
-        args.tier.empty()
-            ? MakePolicy(args.policy, trace, options.chain_params.gas, replay)
-            : MakeTierPolicy(args, options.chain_params.gas));
+        options, MakeRunPolicy(args, trace, options.chain_params.gas, replay));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -777,12 +863,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::pair<Bytes, Bytes>> preload;
-  preload.reserve(args.records);
-  for (uint64_t i = 0; i < args.records; ++i) {
-    preload.emplace_back(workload::MakeKey(i), Bytes(args.record_bytes, 0x11));
-  }
-  system.Preload(preload);
+  system.Preload(MakePreload(args));
   if (text) {
     std::printf("preload:  %zu records x %zu bytes\n\n", args.records,
                 args.record_bytes);
@@ -1072,24 +1153,7 @@ int main(int argc, char** argv) {
     telemetry::PrintFlipRegret(
         summary, OracleFlips(trace, options.chain_params.gas, replay));
   }
-#if GRUB_TELEMETRY
-  if (args.profile && text) {
-    std::printf("\nhot-path probes (wall-clock, ns):\n");
-    std::printf("  %-16s %10s %14s %12s\n", "site", "count", "total_ns",
-                "max_ns");
-    for (const auto& p : telemetry::ProfileRegistry::Snapshot()) {
-      std::printf("  %-16s %10llu %14llu %12llu\n", p.name,
-                  static_cast<unsigned long long>(p.count),
-                  static_cast<unsigned long long>(p.total_ns),
-                  static_cast<unsigned long long>(p.max_ns));
-    }
-  }
-#else
-  if (args.profile && text) {
-    std::printf("\nhot-path probes: compiled out "
-                "(rebuild with -DGRUB_TELEMETRY=ON)\n");
-  }
-#endif
+  if (args.profile && text) PrintProfile();
   // Kept last so scripts can strip everything from this header down and
   // compare the Gas report with the observatory on vs off (ci.sh does).
   if (args.workload_report && text) {
