@@ -233,6 +233,25 @@ if ! ./build/bench/grub-bench --compare bench/baselines/BENCH_quick_preshard.jso
   exit 1
 fi
 
+# (3) Multi-shard Gas pins beyond scale_shards' 4-shard forest: 3 shards pad
+# the root-of-roots rollup with an empty leaf, and 16 shards is feedbench's
+# ycsb-a-sharded shape. Each epoch's digests, shard roots and rollup
+# recompute are metered, so the totals pin the sharded update path exactly.
+echo "=== shard gate: 3- and 16-shard Gas pins ==="
+shard_pin() {
+  local expected="$1" shards="$2" total
+  total="$(./build/tools/grubctl --policy adaptive-k2 --workload ycsb:A \
+    --records 4096 --ops 2048 --shards "${shards}" \
+    | sed -n 's/^total: *\([0-9]*\) Gas.*/\1/p')"
+  echo "--shards ${shards}: ${total} Gas (pinned ${expected})"
+  if [ "${total}" != "${expected}" ]; then
+    echo "shard gate FAILED: ${shards}-shard Gas moved"
+    exit 1
+  fi
+}
+shard_pin 47542560 3
+shard_pin 62890648 16
+
 # Tier gates. (1) The tier-sweep quick bench must hold its own crossover
 # assertions — at least one grid cell where the log or calldata tier beats
 # contract storage on total Gas, and at least one where it loses —

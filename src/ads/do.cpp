@@ -116,31 +116,4 @@ void AdsDo::BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records) {
   sp.BulkLoad(records);
 }
 
-Status AdsDo::VerifiedDelete(AdsSp& sp, ByteSpan key) {
-  const size_t pos = LowerBound(key);
-  if (pos >= keys_.size() || Compare(keys_[pos], key) != 0) {
-    return Status::NotFound("VerifiedDelete: unknown key");
-  }
-  auto proof = sp.Get(key);
-  if (!proof.ok() || proof->index != pos || !VerifyQuery(Root(), *proof)) {
-    return Status::IntegrityViolation("SP proof failed before delete");
-  }
-
-  // Every leaf after the deleted one shifts down by one: splice the tail.
-  std::vector<Hash256> tail;
-  tail.reserve(keys_.size() - pos - 1);
-  for (size_t i = pos + 1; i < keys_.size(); ++i) {
-    tail.push_back(mirror_.Leaf(i));
-  }
-  keys_.erase(keys_.begin() + static_cast<long>(pos));
-  mirror_.ReplaceSuffix(pos, tail);
-
-  Status s = sp.ApplyDelete(key);
-  if (!s.ok()) return s;
-  if (sp.Root() != Root()) {
-    return Status::IntegrityViolation("SP root diverged after delete");
-  }
-  return Status::Ok();
-}
-
 }  // namespace grub::ads

@@ -40,9 +40,6 @@ class AdsDo {
   /// new root must equal the mirror's.
   Status VerifiedBatchPut(AdsSp& sp, const std::vector<FeedRecord>& records);
 
-  /// Verified delete (tombstoning a key out of the tree).
-  Status VerifiedDelete(AdsSp& sp, ByteSpan key);
-
   /// Bootstrap load without SP round-trips (initial dataset): the batch
   /// applied on both sides unverified. Into an empty DO it is one mirror
   /// rebuild + one SP rebuild.

@@ -99,23 +99,6 @@ Result<Hash256> AdsSp::ApplyPutBatch(const std::vector<FeedRecord>& records) {
   return tree_.Root();
 }
 
-Status AdsSp::ApplyDelete(ByteSpan key) {
-  const size_t pos = LowerBound(key);
-  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
-    return Status::NotFound("ApplyDelete: no such key");
-  }
-  // Every leaf after the deleted one shifts down by one: splice the tail.
-  std::vector<Hash256> tail;
-  tail.reserve(records_.size() - pos - 1);
-  for (size_t i = pos + 1; i < records_.size(); ++i) {
-    tail.push_back(tree_.Leaf(i));
-  }
-  records_.erase(records_.begin() + static_cast<long>(pos));
-  tree_.ReplaceSuffix(pos, tail);
-  (void)db_->Delete(key);
-  return Status::Ok();
-}
-
 Result<QueryProof> AdsSp::Get(ByteSpan key) const {
   const size_t pos = LowerBound(key);
   if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
@@ -244,7 +227,17 @@ void AdsSp::ForkForTesting(ByteSpan key, ByteSpan forged_value) {
 }
 
 void AdsSp::OmitForTesting(ByteSpan key) {
-  (void)ApplyDelete(key);
+  const size_t pos = LowerBound(key);
+  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) return;
+  // Every leaf after the omitted one shifts down by one: splice the tail.
+  std::vector<Hash256> tail;
+  tail.reserve(records_.size() - pos - 1);
+  for (size_t i = pos + 1; i < records_.size(); ++i) {
+    tail.push_back(tree_.Leaf(i));
+  }
+  records_.erase(records_.begin() + static_cast<long>(pos));
+  tree_.ReplaceSuffix(pos, tail);
+  (void)db_->Delete(key);
 }
 
 }  // namespace grub::ads

@@ -48,10 +48,6 @@ class AdsSp {
     (void)ApplyPutBatch(records);
   }
 
-  /// Removes a key entirely (rare; the feeds overwrite rather than delete).
-  /// The shifted tail is spliced in; a rebuild only when capacity shrinks.
-  Status ApplyDelete(ByteSpan key);
-
   Hash256 Root() const { return tree_.Root(); }
   size_t RecordCount() const { return records_.size(); }
   size_t Capacity() const { return tree_.Capacity(); }
@@ -95,10 +91,7 @@ class AdsSp {
   /// is pending, else the record's authenticated state projected to a tier.
   tier::StorageTier EffectiveTier(ByteSpan key) const;
 
-  /// Binary wrappers over the tier advisory (legacy call sites).
-  void SetAdvisoryState(ByteSpan key, ReplState state) {
-    SetAdvisoryTier(key, tier::FromReplState(state));
-  }
+  /// Binary view of the effective placement (R iff the storage tier).
   ReplState EffectiveState(ByteSpan key) const {
     return tier::ToReplState(EffectiveTier(key));
   }
@@ -110,7 +103,8 @@ class AdsSp {
   /// Rebuilds the tree over forged data (fork attack — on-chain root pins
   /// the honest version, so delivered proofs fail against it).
   void ForkForTesting(ByteSpan key, ByteSpan forged_value);
-  /// Drops a record from array and tree alike (omission attack).
+  /// Drops a record from array, tree and store alike (omission attack): the
+  /// shifted tail is spliced in, a rebuild only when capacity shrinks.
   void OmitForTesting(ByteSpan key);
 
  private:

@@ -8,6 +8,16 @@
 
 namespace grub::core {
 
+namespace {
+
+// A transaction lands when it executes now (ok) or in a later block
+// (delayed); a dropped or rejected one changes nothing on chain.
+bool Lands(const chain::Receipt& receipt) {
+  return receipt.ok() || chain::IsDelayedReceipt(receipt);
+}
+
+}  // namespace
+
 DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
                    Options options, std::unique_ptr<ReplicationPolicy> policy)
     : chain_(chain),
@@ -24,9 +34,6 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
   // forest is: one arena bucket per shard.
   policy_->BindShards(&sp_.Map());
   per_shard_update_gas_.assign(sp_.ShardCount(), 0);
-  // Unset contract root slots read as zero, the empty-tree root. A
-  // one-shard rollup's root is its only leaf, the shard root itself.
-  rollup_ = MerkleTree(std::vector<Hash256>(sp_.ShardCount()));
 }
 
 Bytes DoClient::EncodeUpdate(
@@ -168,14 +175,9 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
   last_epoch_touched_shards_ = touched_shards.size();
   // One genesis update carrying every populated shard root: the contract
   // verifies the rollup against unset (zero == empty-tree) slots plus
-  // these, then stores them all.
-  std::vector<std::pair<uint64_t, Hash256>> roots;
-  roots.reserve(touched_shards.size());
-  for (uint32_t s : touched_shards) {
-    roots.emplace_back(s, ads_do_.ShardRoot(s));
-  }
-  SubmitUpdate(EncodeUpdate(ads_do_.RootOfRoots(), roots, {}, {}, {}),
-               telemetry::GasCause::kUpdateRoot);
+  // these, then stores them all. It belongs to no shard's update Gas.
+  PublishUpdate(touched_shards, {}, {}, {}, std::nullopt,
+                telemetry::GasCause::kUpdateRoot);
   epoch_ += 1;
   // Skip monitor processing of history up to now (preload is not workload).
   call_history_cursor_ = chain_.CallHistory().size();
@@ -233,11 +235,6 @@ chain::Receipt DoClient::EndEpoch() {
   // shard: the SP proves every written key against the shard's pre-batch
   // root before either side mutates, then each side rehashes only that
   // shard's dirty paths and the roots must agree.
-  const size_t shard_count = sp_.ShardCount();
-  std::vector<Hash256> pre_roots(shard_count);
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    pre_roots[s] = ads_do_.ShardRoot(s);
-  }
   std::vector<ads::FeedRecord> records;
   records.reserve(pending_writes_.size());
   for (auto& write : pending_writes_) {
@@ -324,13 +321,12 @@ chain::Receipt DoClient::EndEpoch() {
   std::vector<uint32_t> tree_touched = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = tree_touched.size();
   chain::Receipt receipt =
-      SubmitEpochUpdates(pre_roots, tree_touched,
-                         std::move(replicated_updates), std::move(evictions),
-                         std::move(tiered));
+      SubmitEpochUpdates(tree_touched, std::move(replicated_updates),
+                         std::move(evictions), std::move(tiered));
 #if GRUB_TELEMETRY
   if (tracer_ != nullptr) {
     tracer_->EndSpan(epoch_span_, chain_.CurrentBlockNumber(),
-                     receipt.ok() || chain::IsDelayedReceipt(receipt));
+                     Lands(receipt));
     epoch_span_ = 0;
   }
 #endif
@@ -339,7 +335,6 @@ chain::Receipt DoClient::EndEpoch() {
 }
 
 chain::Receipt DoClient::SubmitEpochUpdates(
-    const std::vector<Hash256>& pre_roots,
     const std::vector<uint32_t>& tree_touched,
     std::vector<ads::FeedRecord> replicated, std::vector<Bytes> evictions,
     TierSuffix tiered) {
@@ -363,11 +358,16 @@ chain::Receipt DoClient::SubmitEpochUpdates(
     tier_by_shard[sp_.Map().ShardOf(key)].unpins.push_back(std::move(key));
   }
 
-  // A shard is involved if its tree changed or it carries replica traffic.
+  // A shard publishes its root if its tree changed this epoch or its root
+  // has not landed; a lost root is re-sent, never assumed. The touched set
+  // stays: a batch that rewrites identical values leaves the root as it was
+  // and still carries it. A shard is involved if it publishes its root or
+  // carries replica traffic.
   std::vector<bool> has_root(shard_count, false);
   for (uint32_t s : tree_touched) has_root[s] = true;
   std::vector<uint32_t> involved;
   for (uint32_t s = 0; s < shard_count; ++s) {
+    if (!ads_do_.Landed(s)) has_root[s] = true;
     if (has_root[s] || !rep_by_shard[s].empty() ||
         !evict_by_shard[s].empty() || !tier_by_shard[s].empty()) {
       involved.push_back(s);
@@ -378,46 +378,36 @@ chain::Receipt DoClient::SubmitEpochUpdates(
     // Nothing changed anywhere; publish the (unchanged) digest alone so the
     // epoch boundary is still visible on chain. It belongs to no shard's
     // update Gas.
-    return SubmitUpdate(EncodeUpdate(ads_do_.RootOfRoots(), {}, {}, {}, {}),
-                        telemetry::GasCause::kUpdateRoot, epoch_span_);
+    return PublishUpdate({}, {}, {}, {}, std::nullopt,
+                         telemetry::GasCause::kUpdateRoot);
   }
 
   // One update() per involved shard, each carrying the INCREMENTAL
   // root-of-roots: the digest after that transaction's shard root lands,
-  // computed over the roots the contract will hold at that point. Every tx
-  // therefore verifies on its own, the final stored digest equals the
-  // post-epoch root-of-roots, and receipts meter per-shard Gas exactly.
-  // This is why the epoch's Gas scales with TOUCHED shards, not keyspace.
-  // The rollup mirror starts from the roots the contract holds and takes
-  // one SetLeaf per landing shard root: O(log shards) per digest instead of
-  // a full rollup per transaction.
-  std::vector<std::pair<size_t, Hash256>> stale;
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    if (rollup_.Leaf(s) != pre_roots[s]) stale.emplace_back(s, pre_roots[s]);
-  }
-  rollup_.SetLeaves(stale);
+  // over the roots the contract holds at that point. Every tx therefore
+  // verifies on its own, the final stored digest equals the post-epoch
+  // root-of-roots, and receipts meter per-shard Gas exactly. This is why
+  // the epoch's Gas scales with TOUCHED shards, not keyspace.
   chain::Receipt receipt;
   for (uint32_t s : involved) {
-    std::vector<std::pair<uint64_t, Hash256>> roots;
-    if (has_root[s]) {
-      const Hash256 root = ads_do_.ShardRoot(s);
-      rollup_.SetLeaf(s, root);
-      roots.emplace_back(s, root);
-    }
-    receipt = SubmitUpdateChunked(rollup_.Root(), roots, rep_by_shard[s],
-                                  evict_by_shard[s],
-                                  tier_by_shard[s], /*gas_shard=*/s,
-                                  telemetry::GasCause::kUpdateRoot);
+    receipt = PublishUpdate(
+        has_root[s] ? std::vector<uint32_t>{s} : std::vector<uint32_t>{},
+        rep_by_shard[s], evict_by_shard[s], tier_by_shard[s],
+        /*gas_shard=*/s, telemetry::GasCause::kUpdateRoot);
   }
   return receipt;
 }
 
-chain::Receipt DoClient::SubmitUpdateChunked(
-    const Hash256& digest,
-    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
+chain::Receipt DoClient::PublishUpdate(
+    std::vector<uint32_t> shards,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered,
-    uint32_t gas_shard, telemetry::GasCause cause) {
+    std::optional<uint32_t> gas_shard, telemetry::GasCause cause) {
+  if (!sharded_layout_) shards = {0};  // the digest IS shard 0's root
+  std::vector<std::pair<uint64_t, Hash256>> shard_roots;
+  shard_roots.reserve(shards.size());
+  for (uint32_t s : shards) shard_roots.emplace_back(s, ads_do_.ShardRoot(s));
+
   // Greedy packing against the Ctx(X) validity bound. Sizes are the exact
   // codec arithmetic (EncodedRecordBytes & co., unit-tested against the real
   // encodings), accumulated incrementally so chunking stays O(items).
@@ -469,22 +459,34 @@ chain::Receipt DoClient::SubmitUpdateChunked(
     chunks.back().tiered.unpins.push_back(key);
   }
 
-  // Only epoch updates belong to the epoch span and the per-shard update
-  // Gas; recovery traffic (Degrade) is neither.
-  const bool epoch_update = cause == telemetry::GasCause::kUpdateRoot;
+  // Only epoch updates ride the epoch span; recovery traffic (Degrade)
+  // does not.
+  const uint64_t trace_span =
+      cause == telemetry::GasCause::kUpdateRoot ? epoch_span_ : 0;
+  const std::vector<std::pair<uint64_t, Hash256>> no_roots;
+  std::vector<Hash256> prior;  // landed leaves the carried roots replace
   chain::Receipt receipt;
   for (size_t c = 0; c < chunks.size(); ++c) {
     const Chunk& chunk = chunks[c];
-    const std::vector<std::pair<uint64_t, Hash256>> no_roots;
-    Bytes calldata =
-        EncodeUpdate(digest, c == 0 ? shard_roots : no_roots, chunk.replicated,
-                     chunk.evictions, chunk.tiered);
-    receipt = SubmitUpdate(std::move(calldata), cause,
-                           epoch_update ? epoch_span_ : 0);
-    if (epoch_update &&
-        (receipt.ok() || chain::IsDelayedReceipt(receipt))) {
-      per_shard_update_gas_[gas_shard] += receipt.gas_used;
+    const auto& carried = c == 0 || !sharded_layout_ ? shard_roots : no_roots;
+    // Staged in the landed rollup, the carried roots make its root this
+    // chunk's digest; a chunk that does not land puts the prior leaves back.
+    prior.clear();
+    for (const auto& [s, root] : carried) {
+      prior.push_back(ads_do_.LandedRoot(s));
+      ads_do_.SetLanded(s, root);
     }
+    receipt = SubmitUpdate(EncodeUpdate(ads_do_.RootOfRoots(), carried,
+                                        chunk.replicated, chunk.evictions,
+                                        chunk.tiered),
+                           cause, trace_span);
+    if (!Lands(receipt)) {
+      for (size_t i = 0; i < carried.size(); ++i) {
+        ads_do_.SetLanded(carried[i].first, prior[i]);
+      }
+      continue;
+    }
+    if (gas_shard) per_shard_update_gas_[*gas_shard] += receipt.gas_used;
   }
   return receipt;
 }
@@ -640,12 +642,11 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   if (forced.empty()) return;
 
   // Roots are unchanged mid-epoch (batches apply at EndEpoch), so the
-  // current digest verifies; the transactions only publish replicas, split
-  // like any update to stay inside the Ctx(X) calldata bound.
-  chain::Receipt receipt = SubmitUpdateChunked(
-      ads_do_.RootOfRoots(), {}, forced, {}, {}, /*gas_shard=*/0,
-      telemetry::GasCause::kRecovery);
-  if (!receipt.ok() && !chain::IsDelayedReceipt(receipt)) return;
+  // digest verifies; the transactions only publish replicas, split like
+  // any update to stay inside the Ctx(X) calldata bound.
+  chain::Receipt receipt = PublishUpdate({}, forced, {}, {}, std::nullopt,
+                                         telemetry::GasCause::kRecovery);
+  if (!Lands(receipt)) return;
   for (const auto& record : forced) {
     forced_replicas_.insert(record.key);
     replicas_on_chain_.insert(record.key);

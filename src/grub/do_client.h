@@ -19,11 +19,11 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "chain/blockchain.h"
-#include "crypto/merkle.h"
 #include "fault/injector.h"
 #include "grub/policy.h"
 #include "grub/request_tracker.h"
@@ -107,8 +107,9 @@ class DoClient {
   uint64_t log_pins() const { return log_pins_; }
   uint64_t log_unpins() const { return log_unpins_; }
 
-  /// The DO's ADS digest (what the next update() will publish): the shard
-  /// root itself in a single-shard deployment, else the root-of-roots.
+  /// The DO's ADS digest as the chain holds it: the rollup over every
+  /// shard's landed root (the shard root itself in a single-shard
+  /// deployment). Once an epoch's updates land it is the DO's current root.
   Hash256 Root() const { return ads_do_.RootOfRoots(); }
 
   /// Shards whose Merkle trees changed in the last closed epoch (or
@@ -118,7 +119,8 @@ class DoClient {
   /// Cumulative Gas of the update() transactions attributed to each shard
   /// (indexed by shard; single-shard deployments use index 0). Epochs send
   /// one update per involved shard, so receipts meter this exactly; the
-  /// digest-only update of an epoch that changed nothing counts for none.
+  /// preload update, the digest-only update of an epoch that changed
+  /// nothing and the degradation updates count for none.
   const std::vector<uint64_t>& PerShardUpdateGas() const {
     return per_shard_update_gas_;
   }
@@ -173,11 +175,12 @@ class DoClient {
 
  private:
   void MonitorChainHistory();
-  /// Submits an update() transaction, resubmitting the identical calldata
+  /// Submits one update() transaction, resubmitting the identical calldata
   /// with deterministic backoff when the transaction is lost. `trace_span`
   /// (0 = none) receives retry/drop annotations and rides the transaction.
+  /// PublishUpdate is its only caller.
   chain::Receipt SubmitUpdate(Bytes calldata, telemetry::GasCause cause,
-                              uint64_t trace_span = 0);
+                              uint64_t trace_span);
   /// Opens the current epoch's span on first use (tracing only).
   void EnsureEpochSpan();
   /// Emits the policy-audit record for an observation that flipped `key`,
@@ -193,31 +196,32 @@ class DoClient {
       const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
       const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered) const;
-  /// Sends the epoch's update transactions: one update() per shard with
-  /// tree changes or replica/eviction traffic (a digest-only one when
-  /// nothing changed), each carrying the incremental root-of-roots after
-  /// that shard's root lands. `pre_roots` are the shard roots before this
-  /// epoch's batches were applied (== what the contract currently stores).
-  /// Returns the last receipt.
+  /// Sends the epoch's update transactions: one update() per involved
+  /// shard (a digest-only one when none is). A shard is involved when its
+  /// tree changed this epoch, its root has not landed on chain yet (every
+  /// attempt of an earlier update carrying it was lost), or it carries
+  /// replica/eviction/tier traffic. Returns the last receipt.
   chain::Receipt SubmitEpochUpdates(
-      const std::vector<Hash256>& pre_roots,
       const std::vector<uint32_t>& tree_touched,
       std::vector<ads::FeedRecord> replicated, std::vector<Bytes> evictions,
       TierSuffix tiered);
-  /// Splits one logical update into as many update() transactions as the
-  /// Ctx(X) calldata validity bound requires (X < 1000 words — see
-  /// GasSchedule::kMaxCalldataBytes). Every chunk carries the same digest
-  /// and epoch (re-storing the root is idempotent); only the first carries
-  /// the shard roots. The common small epoch stays one transaction with
-  /// byte-identical calldata to the unchunked encoding. Gas is attributed
-  /// to `cause`; epoch updates (kUpdateRoot) also ride the epoch span and
-  /// are accumulated into per_shard_update_gas_[gas_shard].
-  chain::Receipt SubmitUpdateChunked(
-      const Hash256& digest,
-      const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
-      const std::vector<ads::FeedRecord>& replicated,
-      const std::vector<Bytes>& evictions, const TierSuffix& tiered,
-      uint32_t gas_shard, telemetry::GasCause cause);
+  /// The one update() publisher. Splits the items into as many update()
+  /// transactions as the Ctx(X) calldata validity bound requires (X < 1000
+  /// words — see GasSchedule::kMaxCalldataBytes); the first carries the
+  /// current roots of `shards`. In the one-shard layout every chunk carries
+  /// shard 0's root, because its digest is that root. Each chunk's digest is
+  /// the landed rollup with the roots it carries applied, and those roots
+  /// land with the chunk's ok or delayed receipt. An update with few items
+  /// stays one transaction with byte-identical calldata to the unchunked
+  /// encoding. Gas is attributed to `cause`; epoch updates (kUpdateRoot)
+  /// also ride the epoch span, and landed chunks add to
+  /// per_shard_update_gas_[*gas_shard] when it is set.
+  chain::Receipt PublishUpdate(std::vector<uint32_t> shards,
+                               const std::vector<ads::FeedRecord>& replicated,
+                               const std::vector<Bytes>& evictions,
+                               const TierSuffix& tiered,
+                               std::optional<uint32_t> gas_shard,
+                               telemetry::GasCause cause);
   /// Force-replicates starved keys and flips into degraded mode.
   void Degrade(const std::vector<PendingRequest>& stale);
   /// Leaves degraded mode; forced keys return to policy control.
@@ -234,9 +238,6 @@ class DoClient {
   shard::ShardedAdsDo ads_do_;
   // More than one shard: the sharded update layout (see EncodeUpdate).
   const bool sharded_layout_;
-  // The shard-root rollup as the contract holds it, one leaf per shard; its
-  // root is the digest each update() carries.
-  MerkleTree rollup_;
 
   // DO-local copy of current values (it produced them), in the embedded
   // KVStore — used to re-encode records on state-only flips.

@@ -130,6 +130,9 @@ class StorageManagerContract : public chain::Contract {
   /// Log-tier unpin event: Blob(key); the replayed pin is dead.
   static constexpr const char* kUnpinEvent = "grub_unpin";
 
+  /// Storage slot of the published digest: the root-of-roots in a sharded
+  /// deployment, the one tree's root otherwise. Exposed for tests.
+  static Word RootSlot();
   /// Storage slot of shard `s`'s root (sharded deployments only; the
   /// single-shard layout keeps the legacy RootSlot). Exposed for tests.
   static Word ShardRootSlot(uint32_t s);
@@ -162,7 +165,6 @@ class StorageManagerContract : public chain::Contract {
                         const std::string& function, ByteSpan key,
                         ByteSpan value, bool found);
 
-  static Word RootSlot();
   static Word LenSlot(ByteSpan key);
   static Word ValueBase(ByteSpan key);
   static Word CounterSlot(ByteSpan key);

@@ -1,9 +1,7 @@
 #include "shard/forest.h"
 
-#include <algorithm>
 #include <bit>
 
-#include "ads/verify.h"
 #include "crypto/merkle.h"
 
 namespace grub::shard {
@@ -40,30 +38,6 @@ Hash256 ComputeRootOfRootsMetered(
   return level[0];
 }
 
-std::vector<Hash256> RollupPath(const std::vector<Hash256>& shard_roots,
-                                uint32_t s) {
-  if (shard_roots.size() <= 1) return {};
-  MerkleTree rollup(shard_roots);
-  return rollup.ProveLeaf(s).siblings;
-}
-
-bool VerifyForestQuery(const Hash256& root_of_roots, size_t shard_count,
-                       uint32_t shard, const Hash256& shard_root,
-                       const std::vector<Hash256>& rollup_path,
-                       const ads::QueryProof& proof) {
-  if (shard >= shard_count) return false;
-  if (shard_count == 1) {
-    if (!rollup_path.empty() || shard_root != root_of_roots) return false;
-  } else {
-    MerkleProof path{rollup_path};
-    if (!MerkleTree::VerifyLeaf(root_of_roots, shard_root, shard,
-                                RollupCapacity(shard_count), path)) {
-      return false;
-    }
-  }
-  return ads::VerifyQuery(shard_root, proof);
-}
-
 // --- ShardedAdsSp ---
 
 ShardedAdsSp::ShardedAdsSp(ShardMap map, const std::string& db_path)
@@ -90,10 +64,6 @@ Result<ads::AbsenceProof> ShardedAdsSp::ProveAbsent(ByteSpan key) const {
 
 Result<ads::FeedRecord> ShardedAdsSp::Peek(ByteSpan key) const {
   return shards_[map_.ShardOf(key)]->Peek(key);
-}
-
-void ShardedAdsSp::SetAdvisoryState(ByteSpan key, ads::ReplState state) {
-  shards_[map_.ShardOf(key)]->SetAdvisoryState(key, state);
 }
 
 ads::ReplState ShardedAdsSp::EffectiveState(ByteSpan key) const {
@@ -165,7 +135,8 @@ void ShardedAdsSp::SetFaultInjector(fault::FaultInjector* faults) {
 // --- ShardedAdsDo ---
 
 ShardedAdsDo::ShardedAdsDo(ShardMap map, Bytes signing_key)
-    : map_(std::move(map)), signer_(signing_key) {
+    : map_(std::move(map)),
+      landed_(std::vector<Hash256>(map_.Count())) {
   dos_.reserve(map_.Count());
   for (size_t s = 0; s < map_.Count(); ++s) dos_.emplace_back(signing_key);
 }
@@ -199,13 +170,6 @@ void ShardedAdsDo::BulkLoad(ShardedAdsSp& sp,
     dos_[s].BulkLoad(sp.Shard(s), by_shard[s]);
     touched_.insert(s);
   }
-}
-
-Hash256 ShardedAdsDo::RootOfRoots() const {
-  std::vector<Hash256> roots;
-  roots.reserve(dos_.size());
-  for (const auto& d : dos_) roots.push_back(d.Root());
-  return ComputeRootOfRoots(roots);
 }
 
 size_t ShardedAdsDo::RecordCount() const {

@@ -14,9 +14,13 @@
 // root plus the root-of-roots; a deliver proof verifies against the stored
 // shard root (one sload), and an epoch update proves the new root-of-roots
 // by recomputing the rollup over the stored shard roots — O(shard count)
-// work, independent of the keyspace size. VerifyForestQuery composes the
-// off-chain form: shard-root inclusion in the rollup + record inclusion in
-// the shard tree.
+// work, independent of the keyspace size (ComputeRootOfRootsMetered).
+//
+// The commitment. The DO side keeps the one incremental rollup tree: leaf s
+// is the shard root that last LANDED on chain, so its root is exactly the
+// root-of-roots the contract holds. The update publisher moves a leaf only
+// when the update carrying that root lands; a lost update leaves it where it
+// was, and the shard's root is re-sent with the next epoch.
 //
 // Batch protocol. Every verified write is a per-shard batch through
 // AdsDo::VerifiedBatchPut, on every shard count: the forest routes each
@@ -46,7 +50,7 @@
 #include "ads/do.h"
 #include "ads/sp.h"
 #include "common/status.h"
-#include "crypto/signer.h"
+#include "crypto/merkle.h"
 #include "shard/shard_map.h"
 
 namespace grub::shard {
@@ -90,7 +94,6 @@ class ShardedAdsSp {
   Result<ads::QueryProof> Get(ByteSpan key) const;
   Result<ads::AbsenceProof> ProveAbsent(ByteSpan key) const;
   Result<ads::FeedRecord> Peek(ByteSpan key) const;
-  void SetAdvisoryState(ByteSpan key, ads::ReplState state);
   ads::ReplState EffectiveState(ByteSpan key) const;
   void SetAdvisoryTier(ByteSpan key, tier::StorageTier t);
   tier::StorageTier EffectiveTier(ByteSpan key) const;
@@ -114,10 +117,10 @@ class ShardedAdsSp {
   std::vector<std::unique_ptr<ads::AdsSp>> shards_;
 };
 
-/// The DO side of the forest: one AdsDo mirror per shard plus the signer for
-/// the root-of-roots. Tracks which shards' trees changed since the last
-/// TakeTouchedShards() — the per-epoch "touched shards" the update path and
-/// the telemetry column report.
+/// The DO side of the forest: one AdsDo mirror per shard plus the landed
+/// rollup, the root-of-roots the chain holds. Tracks which shards' trees
+/// changed since the last TakeTouchedShards() — the per-epoch "touched
+/// shards" the update path and the telemetry column report.
 class ShardedAdsDo {
  public:
   ShardedAdsDo(ShardMap map, Bytes signing_key);
@@ -137,13 +140,18 @@ class ShardedAdsDo {
   void BulkLoad(ShardedAdsSp& sp, const std::vector<ads::FeedRecord>& records);
 
   Hash256 ShardRoot(size_t s) const { return dos_[s].Root(); }
-  Hash256 RootOfRoots() const;
   size_t RecordCount() const;
 
-  /// Signs the root-of-roots for `epoch` (the forest's epoch digest).
-  Signature SignRoot(uint64_t epoch) const {
-    return signer_.Sign(RootOfRoots(), epoch);
-  }
+  /// The root-of-roots the chain holds: the rollup over every shard's
+  /// landed root (the landed root itself for one shard). Before anything
+  /// lands every leaf is zero, the root an unset contract slot reads as.
+  Hash256 RootOfRoots() const { return landed_.Root(); }
+  /// Shard `s`'s root as it last landed on chain.
+  const Hash256& LandedRoot(size_t s) const { return landed_.Leaf(s); }
+  /// True when shard `s`'s current root is the one the chain holds.
+  bool Landed(size_t s) const { return LandedRoot(s) == ShardRoot(s); }
+  /// Moves shard `s`'s landed leaf to `root` (O(log shards) hashes).
+  void SetLanded(size_t s, const Hash256& root) { landed_.SetLeaf(s, root); }
 
   /// Shards whose trees changed since the last call (sorted); clears the set.
   std::vector<uint32_t> TakeTouchedShards();
@@ -154,24 +162,9 @@ class ShardedAdsDo {
       const std::vector<ads::FeedRecord>& records) const;
 
   ShardMap map_;  // owned copy: callers may pass temporaries
-  MacSigner signer_;
   std::vector<ads::AdsDo> dos_;
+  MerkleTree landed_;  // leaf s: shard s's root as the chain holds it
   std::set<uint32_t> touched_;
 };
-
-/// Off-chain composite verification: `shard_root` is leaf `shard` of the
-/// rollup committed by `root_of_roots` (over `shard_count` shards), and
-/// `proof` verifies against `shard_root`. The on-chain verifier gets the
-/// shard root from storage instead of a rollup path; this form is for
-/// DU-side/audit checks that only hold the signed root-of-roots.
-bool VerifyForestQuery(const Hash256& root_of_roots, size_t shard_count,
-                       uint32_t shard, const Hash256& shard_root,
-                       const std::vector<Hash256>& rollup_path,
-                       const ads::QueryProof& proof);
-
-/// The rollup inclusion path for shard `s` (siblings bottom-up), computed
-/// from all shard roots. Empty for a single-shard forest.
-std::vector<Hash256> RollupPath(const std::vector<Hash256>& shard_roots,
-                                uint32_t s);
 
 }  // namespace grub::shard

@@ -60,30 +60,6 @@ Bytes ShardMap::UpperBoundOf(uint32_t s) const {
   return boundaries_[s];
 }
 
-ShardMap ShardMap::SplitAt(const Bytes& boundary) const {
-  if (boundary.empty()) {
-    throw std::invalid_argument("ShardMap::SplitAt: empty boundary");
-  }
-  std::vector<Bytes> next = boundaries_;
-  auto it = std::lower_bound(
-      next.begin(), next.end(), boundary,
-      [](const Bytes& a, const Bytes& b) { return Compare(a, b) < 0; });
-  if (it != next.end() && Compare(*it, boundary) == 0) {
-    throw std::invalid_argument("ShardMap::SplitAt: boundary already present");
-  }
-  next.insert(it, boundary);
-  return ShardMap(std::move(next));
-}
-
-ShardMap ShardMap::MergeAt(uint32_t s) const {
-  if (s == 0 || s > boundaries_.size()) {
-    throw std::out_of_range("ShardMap::MergeAt: no boundary at index");
-  }
-  std::vector<Bytes> next = boundaries_;
-  next.erase(next.begin() + static_cast<long>(s - 1));
-  return ShardMap(std::move(next));
-}
-
 std::string ShardMap::Describe() const {
   std::string out = "shards=" + std::to_string(Count());
   if (!boundaries_.empty()) {

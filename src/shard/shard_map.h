@@ -3,10 +3,8 @@
 // The keyspace is split into `count` contiguous key-range shards by an
 // explicit sorted boundary vector: shard i covers [boundary[i-1], boundary[i])
 // with boundary[-1] = -inf (empty prefix) and boundary[count-1] = +inf.
-// Explicit boundaries make the layout split/merge-ready: SplitAt inserts a
-// boundary (one shard becomes two), MergeAt removes one (two adjacent shards
-// become one) — both produce a new map, leaving range assignment of every
-// untouched key stable.
+// The layout is fixed for a deployment's lifetime: nothing splits or merges
+// shards at run time.
 //
 // Determinism is the load-bearing property: the DO, the SP daemon and the
 // storage-manager contract each hold a copy of the same map and must agree on
@@ -48,13 +46,6 @@ class ShardMap {
   const Bytes& LowerBoundOf(uint32_t s) const;
   /// Exclusive upper bound of shard `s` (empty = unbounded, for the last).
   Bytes UpperBoundOf(uint32_t s) const;
-
-  /// A new map with one extra boundary: the shard containing `boundary`
-  /// splits in two. Throws if the boundary already exists or is empty.
-  ShardMap SplitAt(const Bytes& boundary) const;
-  /// A new map without boundary `s` (1 <= s < Count()): shards s-1 and s
-  /// merge. Throws on an out-of-range index.
-  ShardMap MergeAt(uint32_t s) const;
 
   const std::vector<Bytes>& Boundaries() const { return boundaries_; }
 

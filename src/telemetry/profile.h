@@ -1,8 +1,9 @@
-// Hot-path profiling probes: scoped nanosecond counters on the few code
-// paths measurement has shown dominate runtime (Merkle group rebuild,
-// sha256, deliver codec, kvstore get/put). Each site exports count / total
-// / max nanoseconds — the evidence base for choosing parallelization
-// targets (ROADMAP item 2).
+// Hot-path profiling probes: scoped nanosecond counters on primitive code
+// paths (SHA-256 digests and compressions, deliver codec, kvstore get/put)
+// plus a count of full Merkle rebuilds, which the incremental recompute
+// should keep rare (first load, SP crash recovery, a capacity change). Each
+// site exports count / total / max nanoseconds. They name primitives, not
+// pipeline stages; stage-level sites are ROADMAP item 5.
 //
 // Usage at a site:
 //

@@ -3,7 +3,6 @@
 
 #include "ads/do.h"
 #include "ads/verify.h"
-#include "telemetry/profile.h"
 #include "workload/trace.h"
 
 namespace grub::ads {
@@ -51,72 +50,6 @@ TEST(AdsDo, OutOfOrderVerifiedInsertsWork) {
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_TRUE(VerifyQuery(ads_do.Root(), *sp.Get(MakeKey(i)))) << i;
   }
-}
-
-TEST(AdsDo, VerifiedDeleteRealignsRoots) {
-  AdsSp sp;
-  AdsDo ads_do(ToBytes("k"));
-  std::vector<FeedRecord> records;
-  for (uint64_t i = 0; i < 6; ++i) records.push_back(Rec(i, "v"));
-  ads_do.BulkLoad(sp, records);
-  ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(3)).ok());
-  EXPECT_EQ(ads_do.Root(), sp.Root());
-  EXPECT_EQ(ads_do.RecordCount(), 5u);
-  EXPECT_FALSE(sp.Get(MakeKey(3)).ok());
-}
-
-TEST(AdsDo, DeleteSpliceMatchesFreshLoad) {
-  // Deleting at every position, from sizes that keep the capacity (6 -> 5)
-  // and that halve it (5 -> 4, 2 -> 1), lands both sides on the tree a fresh
-  // load of the surviving records builds.
-  for (uint64_t n : {2u, 5u, 6u}) {
-    for (uint64_t victim = 0; victim < n; ++victim) {
-      SCOPED_TRACE(std::to_string(n) + " records, delete " +
-                   std::to_string(victim));
-      std::vector<FeedRecord> records, survivors;
-      for (uint64_t i = 0; i < n; ++i) {
-        records.push_back(Rec(i, "v" + std::to_string(i)));
-        if (i != victim) survivors.push_back(records.back());
-      }
-      AdsSp sp;
-      AdsDo ads_do(ToBytes("k"));
-      ads_do.BulkLoad(sp, records);
-      ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(victim)).ok());
-      AdsSp fresh;
-      fresh.BulkLoad(survivors);
-      EXPECT_EQ(ads_do.Root(), fresh.Root());
-      EXPECT_EQ(sp.Root(), fresh.Root());
-      EXPECT_EQ(sp.Capacity(), fresh.Capacity());
-    }
-  }
-}
-
-#if GRUB_TELEMETRY
-TEST(AdsDo, CapacityPreservingDeleteRebuildsNoTree) {
-  // 12 records -> 11 keeps capacity 16: both sides splice the tail.
-  AdsSp sp;
-  AdsDo ads_do(ToBytes("k"));
-  std::vector<FeedRecord> records;
-  for (uint64_t i = 0; i < 12; ++i) records.push_back(Rec(i, "v"));
-  ads_do.BulkLoad(sp, records);
-  telemetry::ProfileRegistry::Reset();
-  telemetry::ProfileRegistry::Enable(true);
-  ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(4)).ok());
-  const uint64_t rebuilds =
-      telemetry::ProfileRegistry::Snapshot()[static_cast<size_t>(
-          telemetry::ProbeSite::kMerkleRebuild)].count;
-  telemetry::ProfileRegistry::Enable(false);
-  EXPECT_EQ(rebuilds, 0u);
-  EXPECT_EQ(ads_do.Root(), sp.Root());
-  EXPECT_EQ(sp.Capacity(), 16u);
-}
-#endif
-
-TEST(AdsDo, DeleteOfUnknownKeyIsNotFound) {
-  AdsSp sp;
-  AdsDo ads_do(ToBytes("k"));
-  EXPECT_EQ(ads_do.VerifiedDelete(sp, MakeKey(1)).code(),
-            StatusCode::kNotFound);
 }
 
 TEST(AdsDo, SignedRootsCarryEpochFreshness) {

@@ -65,7 +65,8 @@ TEST(AdsSp, DeleteRemovesAndReproves) {
   std::vector<FeedRecord> records;
   for (uint64_t i = 0; i < 5; ++i) records.push_back(Rec(i, "v"));
   sp.BulkLoad(records);
-  ASSERT_TRUE(sp.ApplyDelete(MakeKey(2)).ok());
+  sp.OmitForTesting(MakeKey(2));
+  EXPECT_EQ(sp.RecordCount(), 4u);
   EXPECT_FALSE(sp.Get(MakeKey(2)).ok());
   auto absence = sp.ProveAbsent(MakeKey(2));
   ASSERT_TRUE(absence.ok());
@@ -73,6 +74,30 @@ TEST(AdsSp, DeleteRemovesAndReproves) {
   // Remaining records still prove.
   for (uint64_t i : {0, 1, 3, 4}) {
     EXPECT_TRUE(VerifyQuery(sp.Root(), *sp.Get(MakeKey(i)))) << i;
+  }
+}
+
+TEST(AdsSp, OmitSpliceMatchesFreshLoad) {
+  // Omitting at every position, from sizes that keep the capacity (6 -> 5)
+  // and that halve it (5 -> 4, 2 -> 1), lands on the tree a fresh load of
+  // the surviving records builds.
+  for (uint64_t n : {2u, 5u, 6u}) {
+    for (uint64_t victim = 0; victim < n; ++victim) {
+      SCOPED_TRACE(std::to_string(n) + " records, omit " +
+                   std::to_string(victim));
+      std::vector<FeedRecord> records, survivors;
+      for (uint64_t i = 0; i < n; ++i) {
+        records.push_back(Rec(i, ("v" + std::to_string(i)).c_str()));
+        if (i != victim) survivors.push_back(records.back());
+      }
+      AdsSp sp;
+      sp.BulkLoad(records);
+      sp.OmitForTesting(MakeKey(victim));
+      AdsSp fresh;
+      fresh.BulkLoad(survivors);
+      EXPECT_EQ(sp.Root(), fresh.Root());
+      EXPECT_EQ(sp.Capacity(), fresh.Capacity());
+    }
   }
 }
 
@@ -159,7 +184,7 @@ TEST(AdsSp, EffectiveStateFollowsAdvisoryThenRecord) {
   AdsSp sp;
   ASSERT_TRUE(sp.ApplyPutBatch({Rec(1, "v", ReplState::kNR)}).ok());
   EXPECT_EQ(sp.EffectiveState(MakeKey(1)), ReplState::kNR);
-  sp.SetAdvisoryState(MakeKey(1), ReplState::kR);
+  sp.SetAdvisoryTier(MakeKey(1), tier::StorageTier::kStorage);
   EXPECT_EQ(sp.EffectiveState(MakeKey(1)), ReplState::kR);
   // The authenticated bit is still NR until the next verified put.
   EXPECT_EQ(sp.Peek(MakeKey(1))->state, ReplState::kNR);

@@ -282,6 +282,11 @@ TEST(MerkleBatch, CapacityPreservingBatchesNeverRebuild) {
   std::vector<Hash256> suffix(leaves.begin() + 4, leaves.end());
   suffix.insert(suffix.begin(), Hash256::FromU64(3));
   tree.ReplaceSuffix(4, suffix);  // 11 leaves: capacity 16 kept
+  // Dropping leaf 4 shifts the tail down one (an SP omission's splice):
+  // 11 -> 10 leaves, capacity 16 kept.
+  const std::vector<Hash256> shrunk(suffix.begin() + 1, suffix.end());
+  tree.ReplaceSuffix(4, shrunk);
+  const Hash256 shrunk_root = tree.Root();
   const auto kept = telemetry::ProfileRegistry::Snapshot();
   suffix.insert(suffix.end(), 6, Hash256::FromU64(4));
   tree.ReplaceSuffix(4, suffix);  // 17 leaves: capacity doubles
@@ -291,6 +296,10 @@ TEST(MerkleBatch, CapacityPreservingBatchesNeverRebuild) {
       static_cast<size_t>(telemetry::ProbeSite::kMerkleRebuild);
   EXPECT_EQ(kept[rebuild].count, 0u);
   EXPECT_EQ(grown[rebuild].count, 1u);
+  std::vector<Hash256> expected(leaves.begin(), leaves.begin() + 4);
+  expected[0] = Hash256::FromU64(1);
+  expected.insert(expected.end(), shrunk.begin(), shrunk.end());
+  EXPECT_EQ(shrunk_root, MerkleTree(expected).Root());
 }
 #endif
 

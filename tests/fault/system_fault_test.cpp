@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "grub/request_tracker.h"
+#include "grub/storage_manager.h"
 #include "grub/system.h"
 #include "workload/trace.h"
 #include "workload/ycsb.h"
@@ -205,6 +206,86 @@ TEST_P(DegradeRecordSizeTest, DeadSpDegradesWithoutAbortAndAttributesAllGas) {
 
 INSTANTIATE_TEST_SUITE_P(RecordBytes, DegradeRecordSizeTest,
                          ::testing::Values(32, 1024, 2048));
+
+// Shard axis of a lost update: every attempt of one epoch update() is
+// dropped (`do.update.drop*x3+4`: the first four calls pass, the next three
+// are lost). The root it carried never landed, so the DO must re-send it
+// rather than assume it: one shard re-sends it as the next digest, a forest
+// as the next epoch's shard root. Assuming it landed wedges a forest: every
+// later digest fails the contract's root-of-roots check and reads starve.
+class LostUpdateTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(LostUpdateTest, LostRootIsResentAndEveryReadIsAnswered) {
+  SKIP_WITHOUT_FAULTS();
+  constexpr uint64_t kRecords = 1024;
+  const size_t shards = GetParam();
+  SystemOptions options = WithSchedule("do.update.drop*x3+4");
+  options.shards = shards;
+  if (shards > 1) {
+    options.shard_boundaries = IndexedKeyBoundaries(kRecords, shards);
+  }
+  GrubSystem system(options, MakeBL1());
+  std::vector<std::pair<Bytes, Bytes>> records;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    records.emplace_back(MakeKey(i), Bytes(32, 0x11));
+  }
+  system.Preload(records);
+  workload::YcsbGenerator gen(workload::YcsbConfig::WorkloadA(), kRecords,
+                              32, /*seed=*/1);
+  Trace trace;
+  gen.Generate(1024, trace);
+  system.Drive(trace);
+  ASSERT_EQ(system.Faults()->Fires("do.update.drop"), 3u);
+
+  uint64_t reads = 0;
+  for (const auto& op : trace) reads += op.type == workload::OpType::kRead;
+  RequestTracker ledger(system.ManagerAddress());
+  ledger.CatchUp(system.Chain());
+  EXPECT_TRUE(ledger.Pending().empty());
+  EXPECT_GE(system.Consumer().values_received() +
+                system.Consumer().misses_received(),
+            reads);
+  EXPECT_EQ(system.Do().watchdog_reemits(), 0u);
+  const Hash256 on_chain =
+      system.Chain()
+          .StorageOf(system.ManagerAddress())
+          .Load(StorageManagerContract::RootSlot());
+  EXPECT_EQ(on_chain, system.Do().Root());
+  EXPECT_EQ(on_chain, system.ShardedSp().RootOfRoots());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, LostUpdateTest, ::testing::Values(1, 4, 16),
+                         ::testing::PrintToStringParamName());
+
+TEST(SystemFault, LostShardRootIsResentByTheNextEpochWithoutATouch) {
+  SKIP_WITHOUT_FAULTS();
+  // Every attempt of the first epoch's update (one write into shard 0) is
+  // lost; the next epoch writes into shard 3 only. Its update must carry
+  // shard 0's root as well, or shard 0's reads fail on chain until the
+  // shard happens to be written again.
+  constexpr uint64_t kKeys = 64;
+  SystemOptions options = WithSchedule("do.update.drop*x3+1");
+  options.shards = 4;
+  options.shard_boundaries = IndexedKeyBoundaries(kKeys, 4);
+  GrubSystem system(options, MakeBL1());
+  system.Preload(SmallFeed(kKeys));
+  system.Write(MakeKey(1), Bytes(32, 0x77));
+  system.EndEpoch();
+  ASSERT_EQ(system.Faults()->Fires("do.update.drop"), 3u);
+  system.Write(MakeKey(kKeys - 1), Bytes(32, 0x78));
+  system.EndEpoch();
+
+  system.ReadNow(MakeKey(1));
+  ASSERT_EQ(system.Consumer().values_received(), 1u);
+  EXPECT_EQ(system.Consumer().received()[0].second, Bytes(32, 0x77));
+  EXPECT_EQ(system.Do().watchdog_reemits(), 0u);
+  const Hash256 on_chain =
+      system.Chain()
+          .StorageOf(system.ManagerAddress())
+          .Load(StorageManagerContract::RootSlot());
+  EXPECT_EQ(on_chain, system.Do().Root());
+  EXPECT_EQ(on_chain, system.ShardedSp().RootOfRoots());
+}
 
 TEST(SystemFault, ReorgReplaysTransactionsAndConverges) {
   SKIP_WITHOUT_FAULTS();

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <stdexcept>
-#include <string>
 
 #include "grub/multi_feed.h"
 #include "grub/system.h"
@@ -43,6 +43,11 @@ struct OneFeedCase {
   size_t record_bytes;
   size_t ops;
 };
+
+// Without this gtest prints the case as raw bytes, `name`'s address
+// included, and the test names ctest registers would change from build to
+// build.
+void PrintTo(const OneFeedCase& c, std::ostream* os) { *os << c.name; }
 
 class OneFeedMatchesGrubSystem
     : public ::testing::TestWithParam<OneFeedCase> {};
@@ -85,10 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OneFeedCase{"YcsbB_32B", 'B', 512, 32, 2048},
                       OneFeedCase{"YcsbB_1KiB", 'B', 512, 1024, 2048},
                       OneFeedCase{"YcsbB_2KiB", 'B', 512, 2048, 2048},
-                      OneFeedCase{"YcsbE_32B", 'E', 256, 32, 256}),
-    [](const ::testing::TestParamInfo<OneFeedCase>& info) {
-      return std::string(info.param.name);
-    });
+                      OneFeedCase{"YcsbE_32B", 'E', 256, 32, 256}));
 
 TEST(MultiFeed, EpochGasCountsOnlyTheFeedsOwnContracts) {
   MultiFeedSystem system;

@@ -59,25 +59,25 @@ TEST(RootOfRoots, SensitiveToEveryLeafAndToOrder) {
   EXPECT_NE(ComputeRootOfRoots(swapped), base);
 }
 
-TEST(RootOfRoots, RollupPathVerifiesForestQuery) {
-  ShardedAdsSp sp(FourWay());
-  ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  std::vector<ads::FeedRecord> records;
-  for (uint64_t i = 0; i < 100; i += 10) records.push_back(Rec(i, "v"));
-  ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, records).ok());
-  std::vector<Hash256> roots;
-  for (size_t s = 0; s < sp.ShardCount(); ++s) roots.push_back(sp.ShardRoot(s));
-  const uint32_t shard = sp.Map().ShardOf(MakeKey(60));
-  auto proof = sp.Get(MakeKey(60));
-  ASSERT_TRUE(proof.ok());
-  EXPECT_TRUE(VerifyForestQuery(sp.RootOfRoots(), sp.ShardCount(), shard,
-                                roots[shard], RollupPath(roots, shard),
-                                *proof));
-  // Wrong shard root: composite verification fails.
-  Hash256 forged = roots[shard];
-  forged.bytes[0] ^= 1;
-  EXPECT_FALSE(VerifyForestQuery(sp.RootOfRoots(), sp.ShardCount(), shard,
-                                 forged, RollupPath(roots, shard), *proof));
+TEST(RootOfRoots, LandedRollupMatchesMeteredRollup) {
+  // The DO's incremental rollup of landed roots and the contract's metered
+  // recompute agree at every step, including the padding leaf of 3 shards.
+  for (size_t count : {1u, 3u, 4u, 16u}) {
+    SCOPED_TRACE(std::to_string(count) + " shards");
+    std::vector<Bytes> boundaries;
+    for (size_t s = 1; s < count; ++s) boundaries.push_back(MakeKey(10 * s));
+    ShardedAdsDo ads_do(ShardMap(boundaries), ToBytes("key"));
+    std::vector<Hash256> landed(count);  // unset slots read as zero
+    EXPECT_EQ(ads_do.RootOfRoots(), ComputeRootOfRootsMetered(landed, nullptr));
+    for (size_t step = 0; step < 2 * count; ++step) {
+      const size_t s = (7 * step + 3) % count;
+      landed[s].bytes.fill(uint8_t(step + 1));
+      ads_do.SetLanded(s, landed[s]);
+      EXPECT_EQ(ads_do.LandedRoot(s), landed[s]);
+      EXPECT_EQ(ads_do.RootOfRoots(),
+                ComputeRootOfRootsMetered(landed, nullptr));
+    }
+  }
 }
 
 // --- forest vs single tree ---
@@ -92,6 +92,9 @@ TEST(Forest, SingleShardForestEqualsPlainTree) {
   }
   EXPECT_EQ(forest.RootOfRoots(), plain.Root());
   EXPECT_EQ(forest.ShardRoot(0), plain.Root());
+  EXPECT_EQ(ads_do.ShardRoot(0), plain.Root());
+  // Once it lands, the DO's one-leaf rollup is the shard root itself.
+  ads_do.SetLanded(0, ads_do.ShardRoot(0));
   EXPECT_EQ(ads_do.RootOfRoots(), plain.Root());
 }
 
@@ -308,7 +311,9 @@ TEST(Forest, BulkLoadEqualsIncrementalLoad) {
     ASSERT_TRUE(seq_do.VerifiedBatchPut(seq_sp, {r}).ok());
   }
   EXPECT_EQ(bulk_sp.RootOfRoots(), seq_sp.RootOfRoots());
-  EXPECT_EQ(bulk_do.RootOfRoots(), seq_do.RootOfRoots());
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(bulk_do.ShardRoot(s), seq_do.ShardRoot(s)) << "shard " << s;
+  }
   // Bulk load touches every shard that received records.
   EXPECT_EQ(bulk_do.TakeTouchedShards(),
             (std::vector<uint32_t>{0, 1, 2, 3}));

@@ -1,4 +1,4 @@
-// ShardMap: deterministic range lookup, boundary semantics, split/merge.
+// ShardMap: deterministic range lookup and boundary semantics.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -66,32 +66,6 @@ TEST(ShardMap, UniformPartitionCoversPrefixSpace) {
   EXPECT_EQ(map.ShardOf(Bytes{0x80, 0, 0, 0, 0, 0, 0, 0}), 2u);
   EXPECT_EQ(map.ShardOf(Bytes{0xc0, 0, 0, 0, 0, 0, 0, 0}), 3u);
   EXPECT_EQ(map.ShardOf(Bytes(8, 0xff)), 3u);
-}
-
-TEST(ShardMap, SplitPreservesUntouchedAssignments) {
-  ShardMap map({ToBytes("m")});
-  ShardMap split = map.SplitAt(ToBytes("t"));  // splits shard 1 at "t"
-  EXPECT_EQ(split.Count(), 3u);
-  // Keys outside the split shard keep their shard's range.
-  EXPECT_EQ(split.ShardOf(ToBytes("a")), 0u);
-  EXPECT_EQ(split.ShardOf(ToBytes("n")), 1u);
-  EXPECT_EQ(split.ShardOf(ToBytes("t")), 2u);
-  // The original map is a pure value — unchanged.
-  EXPECT_EQ(map.Count(), 2u);
-  EXPECT_THROW(map.SplitAt(ToBytes("m")), std::invalid_argument);  // duplicate
-  EXPECT_THROW(map.SplitAt(Bytes{}), std::invalid_argument);       // empty
-}
-
-TEST(ShardMap, MergeIsSplitInverse) {
-  ShardMap map({ToBytes("g"), ToBytes("p")});
-  ShardMap merged = map.MergeAt(1);  // shards 0 and 1 merge: drop "g"
-  EXPECT_EQ(merged.Count(), 2u);
-  EXPECT_EQ(merged.ShardOf(ToBytes("a")), 0u);
-  EXPECT_EQ(merged.ShardOf(ToBytes("h")), 0u);
-  EXPECT_EQ(merged.ShardOf(ToBytes("q")), 1u);
-  EXPECT_EQ(merged.SplitAt(ToBytes("g")), map);  // round-trips
-  EXPECT_THROW(map.MergeAt(0), std::out_of_range);  // shard 0 has no lower
-  EXPECT_THROW(map.MergeAt(3), std::out_of_range);  // boundary to remove
 }
 
 TEST(ShardMap, IndexedKeyBoundariesSplitMakeKeyKeyspace) {

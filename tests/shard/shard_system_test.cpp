@@ -7,7 +7,9 @@
 #include <map>
 
 #include "grub/multi_feed.h"
+#include "grub/storage_manager.h"
 #include "grub/system.h"
+#include "shard/forest.h"
 #include "workload/trace.h"
 
 namespace grub::core {
@@ -109,6 +111,72 @@ TEST(ShardedSystem, PerShardUpdateGasCoversInvolvedShardsOnly) {
   EXPECT_EQ(per_shard[2], 0u);
   EXPECT_EQ(per_shard[3], 0u);
 }
+
+// One commitment on every shard count, the padded rollup of 3 shards
+// included: the digest the contract stores, the DO's landed rollup, the SP
+// forest's rollup and the contract's own metered recompute over the shard
+// roots are one value after Preload and after every epoch close.
+class CommitmentTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static void ExpectOneCommitment(GrubSystem& system) {
+    shard::ShardedAdsSp& sp = system.ShardedSp();
+    const auto& storage = system.Chain().StorageOf(system.ManagerAddress());
+    std::vector<Hash256> shard_roots;
+    for (size_t s = 0; s < sp.ShardCount(); ++s) {
+      shard_roots.push_back(sp.ShardRoot(s));
+      if (sp.ShardCount() > 1) {
+        EXPECT_EQ(storage.Load(StorageManagerContract::ShardRootSlot(
+                      static_cast<uint32_t>(s))),
+                  shard_roots.back())
+            << "shard " << s;
+      }
+    }
+    const Hash256 on_chain = storage.Load(StorageManagerContract::RootSlot());
+    EXPECT_EQ(on_chain, system.Do().Root());
+    EXPECT_EQ(on_chain, sp.RootOfRoots());
+    EXPECT_EQ(on_chain, shard::ComputeRootOfRootsMetered(shard_roots, nullptr));
+  }
+};
+
+TEST_P(CommitmentTest, RootSlotDoAndSpAgreeAfterEveryEpoch) {
+  const size_t shards = GetParam();
+  GrubSystem system(ShardedOptions(shards), MakeBL1());
+  ASSERT_EQ(system.Shards().Count(), shards);
+  system.Preload(PreloadRecords("v"));
+  {
+    SCOPED_TRACE("after Preload");
+    ExpectOneCommitment(system);
+  }
+  uint64_t preload_gas = 0;
+  for (uint64_t g : system.Do().PerShardUpdateGas()) preload_gas += g;
+  EXPECT_EQ(preload_gas, 0u);
+
+  // Reads, writes into every shard, cross-shard scans, and a rewrite of
+  // identical values (a touched shard whose root does not move).
+  Trace trace = MixedTrace();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t i = 0; i < kKeys; i += 5) {
+      trace.push_back(Operation::Write(MakeKey(i), ToBytes("z")));
+    }
+  }
+  size_t cursor = 0;
+  uint64_t epochs = 0;
+  bool more = true;
+  while (more) {
+    const uint64_t epoch = system.Do().CurrentEpoch();
+    more = system.DriveStep(trace, cursor);
+    if (!more) system.FinishDrive();
+    if (system.Do().CurrentEpoch() == epoch) continue;
+    epochs += 1;
+    SCOPED_TRACE("after epoch " + std::to_string(epoch));
+    ExpectOneCommitment(system);
+  }
+  EXPECT_GT(epochs, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CommitmentTest,
+                         ::testing::Values(1, 3, 4, 16),
+                         ::testing::PrintToStringParamName());
 
 TEST(MultiFeed, FeedsAreIsolatedOnOneChain) {
   MultiFeedSystem system;
