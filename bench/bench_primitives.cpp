@@ -1,9 +1,13 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): SHA-256,
-// Merkle proofs, the embedded KV store, and simulated chain transactions.
+// Merkle proofs and growth, the embedded KV store, the ADS write path, and
+// simulated chain transactions.
 // These gate performance regressions in the simulator itself — wall-clock,
 // not Gas.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
+#include "ads/do.h"
 #include "ads/sp.h"
 #include "chain/blockchain.h"
 #include "crypto/merkle.h"
@@ -79,6 +83,25 @@ void BM_MerkleUpdateLeaf(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleUpdateLeaf)->Arg(65536);
 
+// Appending one leaf to a full 2^k tree doubles its capacity: the levels
+// are resized in place and only the new leaf's path is hashed. Building the
+// full tree is outside the timed region.
+void BM_MerkleAppendAcrossDoubling(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<Hash256> leaves(n);
+  for (size_t i = 0; i < n; ++i) leaves[i] = Hash256::FromU64(i);
+  const Hash256 extra = Hash256::FromU64(n);
+  std::optional<MerkleTree> tree;
+  for (auto _ : state) {
+    state.PauseTiming();
+    tree.emplace(leaves);
+    state.ResumeTiming();
+    tree->ReplaceSuffix(n, {&extra, 1});
+    benchmark::DoNotOptimize(tree->Root());
+  }
+}
+BENCHMARK(BM_MerkleAppendAcrossDoubling)->Arg(1024)->Arg(65536);
+
 void BM_KVStorePut(benchmark::State& state) {
   auto db = kv::KVStore::Open(kv::Options{}, "").value();
   uint64_t i = 0;
@@ -133,6 +156,39 @@ void BM_AdsSpGetProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdsSpGetProof);
+
+// The DO epoch of an append feed: a 32-key VerifiedBatchPut past the last
+// record of a 2^16-record store — the SP's absence pre-proofs checked
+// against the DO's mirror, the batch applied on both sides, roots compared.
+// Each iteration appends 32 fresh keys, so the store keeps growing (one
+// capacity doubling per 2^16 appended keys).
+void BM_AdsDoAppendBatch(benchmark::State& state) {
+  constexpr uint64_t kPreload = uint64_t{1} << 16;
+  constexpr uint64_t kBatch = 32;
+  const Bytes value(80, 0x42);  // one BtcRelay header
+  ads::AdsSp sp;
+  ads::AdsDo ads_do(ToBytes("do-key"));
+  std::vector<ads::FeedRecord> records;
+  for (uint64_t i = 0; i < kPreload; ++i) {
+    records.push_back(
+        ads::FeedRecord{workload::MakeKey(i), value, ads::ReplState::kNR});
+  }
+  ads_do.BulkLoad(sp, records);
+  uint64_t next = kPreload;
+  for (auto _ : state) {
+    records.clear();
+    for (uint64_t i = 0; i < kBatch; ++i) {
+      records.push_back(ads::FeedRecord{workload::MakeKey(next++), value,
+                                        ads::ReplState::kNR});
+    }
+    if (!ads_do.VerifiedBatchPut(sp, records).ok()) {
+      state.SkipWithError("VerifiedBatchPut refused an honest SP");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_AdsDoAppendBatch);
 
 // A contract that burns a fixed storage write (simulated tx throughput).
 class TouchContract : public chain::Contract {

@@ -104,9 +104,12 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
   // (where the report must be byte-identical across runs).
   if (opts.timing) {
     const int kRounds = opts.quick ? 5 : 25;
-    constexpr int kDrivesPerRun = 4;  // lengthen the timed region vs noise
+    // Each timed run lasts at least this long un-instrumented: a fixed drive
+    // count would shrink the window, and grow the share of noise, every
+    // time the base op gets cheaper.
+    const double kMinRunSec = opts.quick ? 0.02 : 0.1;
     enum class Instrument { kNone, kTracing, kMonitor };
-    auto run_once = [&trace](Instrument instrument) {
+    auto run_once = [&trace](Instrument instrument, int drives) {
       core::SystemOptions options;
       options.enable_telemetry = true;
       options.enable_tracing = instrument == Instrument::kTracing;
@@ -117,7 +120,7 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       telemetry::ProfileRegistry::Enable(instrument == Instrument::kMonitor);
 #endif
       const auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < kDrivesPerRun; ++i) {
+      for (int i = 0; i < drives; ++i) {
         system.Drive(trace);
         // Each drive models one traced run (trace, export, reset): the gate
         // bounds steady-state per-op cost, not unbounded accumulation across
@@ -132,7 +135,14 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
 #endif
       return sec;
     };
-    const double ops_total = static_cast<double>(trace.size() * kDrivesPerRun);
+    // Every run, instrumented or not, drives the same count: the smallest
+    // power of two that fills the window.
+    int drives = 1;
+    while (drives < 1024 && run_once(Instrument::kNone, drives) < kMinRunSec) {
+      drives *= 2;
+    }
+    const double ops_total =
+        static_cast<double>(trace.size()) * static_cast<double>(drives);
     auto gate = [&](const char* what, Instrument instrument,
                     const char* on_label) {
       // Interference can only inflate a minimum-based measurement, never
@@ -143,15 +153,16 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       for (int attempt = 0; attempt < 3; ++attempt) {
         off_sec = on_sec = 1e300;
         for (int i = 0; i < kRounds; ++i) {
-          off_sec = std::min(off_sec, run_once(Instrument::kNone));
-          on_sec = std::min(on_sec, run_once(instrument));
+          off_sec = std::min(off_sec, run_once(Instrument::kNone, drives));
+          on_sec = std::min(on_sec, run_once(instrument, drives));
         }
         slowdown_pct = (on_sec - off_sec) / off_sec * 100.0;
         if (slowdown_pct <= 5.0) break;
       }
       const double off_ops = ops_total / off_sec;
       const double on_ops = ops_total / on_sec;
-      std::printf("\n=== %s overhead (best of %d) ===\n", what, kRounds);
+      std::printf("\n=== %s overhead (best of %d, %d drives of %zu ops) ===\n",
+                  what, kRounds, drives, trace.size());
       std::printf("%-28s %12.0f ops/sec\n", "instrumentation off", off_ops);
       std::printf("%-28s %12.0f ops/sec\n", on_label, on_ops);
       std::printf("%-28s %+11.2f%%  (budget 5%%)\n", "slowdown", slowdown_pct);

@@ -324,4 +324,23 @@ feeds_identity 201061716 ycsb:B --records 512 --ops 2048 --record-bytes 1024
 feeds_identity 337147380 ycsb:B --records 512 --ops 2048 --record-bytes 2048
 feeds_identity 351640260 ycsb:E --records 256 --ops 256 --record-bytes 32
 
+# Append work pin: with one preloaded record every BtcRelay write is an
+# append, and the store doubles its capacity ~10 times. Beside the Gas total,
+# two exact, deterministic work counts are pinned: no Merkle rebuild (a
+# doubling resizes the tree in place), and the SHA-256 compressions of the
+# whole run (the DO checks the SP's pre-batch proofs against its mirror
+# instead of re-hashing a root path per appended key).
+echo "=== append work pin: btcrelay from one record ==="
+./build/tools/grubctl --policy memorizing:2,1 --workload btcrelay --records 1 \
+  --profile > /tmp/grub_append_pin.txt
+append_total="$(sed -n 's/^total: *\([0-9]*\) Gas.*/\1/p' /tmp/grub_append_pin.txt)"
+append_rebuilds="$(awk '$1 == "merkle.rebuild" {print $2}' /tmp/grub_append_pin.txt)"
+append_blocks="$(awk '$1 == "sha256.block" {print $2}' /tmp/grub_append_pin.txt)"
+echo "total ${append_total} Gas (pinned 155613380), merkle.rebuild ${append_rebuilds} (pinned 0), sha256.block ${append_blocks} (pinned 95657)"
+if [ "${append_total}" != 155613380 ] || [ "${append_rebuilds}" != 0 ] ||
+   [ "${append_blocks}" != 95657 ]; then
+  echo "append work pin FAILED: Gas or append-path work moved"
+  exit 1
+fi
+
 echo "=== all passes green ==="

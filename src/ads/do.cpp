@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "ads/verify.h"
-
 namespace grub::ads {
 
 AdsDo::Batch AdsDo::Dedup(const std::vector<FeedRecord>& records) {
@@ -21,7 +19,10 @@ size_t AdsDo::LowerBound(ByteSpan key) const {
 }
 
 Status AdsDo::CheckSpHolds(const AdsSp& sp, const Batch& batch) const {
-  const Hash256 root = Root();
+  // A proof verifies against Root() exactly when every hash it carries
+  // equals the mirror's node at that position (collision resistance). So
+  // the DO hashes only the records a proof returns and compares the rest
+  // with its own nodes: no inner-node hash, however many keys share a path.
   for (const auto& entry : batch) {
     const Bytes& key = entry.first;
     const size_t pos = LowerBound(key);
@@ -31,7 +32,9 @@ Status AdsDo::CheckSpHolds(const AdsSp& sp, const Batch& batch) const {
       if (!proof.ok()) {
         return Status::IntegrityViolation("SP omitted an existing record");
       }
-      if (proof->index != pos || !VerifyQuery(root, *proof)) {
+      if (proof->index != pos || proof->capacity != mirror_.Capacity() ||
+          proof->record.LeafHash() != mirror_.Leaf(pos) ||
+          !mirror_.MatchesLeafProof(pos, proof->path)) {
         return Status::IntegrityViolation(
             "SP proof failed for existing record");
       }
@@ -41,12 +44,31 @@ Status AdsDo::CheckSpHolds(const AdsSp& sp, const Batch& batch) const {
         return Status::IntegrityViolation(
             "SP claims presence of a record the DO never wrote");
       }
-      if (!VerifyAbsence(root, key, *absence)) {
+      if (!MatchesAbsenceWindow(pos, *absence)) {
         return Status::IntegrityViolation("SP absence proof failed");
       }
     }
   }
   return Status::Ok();
+}
+
+bool AdsDo::MatchesAbsenceWindow(size_t pos, const AbsenceProof& proof) const {
+  // The window AdsSp::ProveAbsent proves a key at insert position `pos`
+  // absent with: the predecessor, then the successor or, past the last
+  // record of a tree with room, the padding leaf after it.
+  const size_t n = keys_.size();
+  const size_t lo = pos == 0 ? 0 : pos - 1;
+  const size_t records = (pos > 0 ? 1 : 0) + (pos < n ? 1 : 0);
+  const bool empty_tail = pos == n && n < mirror_.Capacity();
+  if (proof.lo != lo || proof.capacity != mirror_.Capacity() ||
+      proof.boundary.size() != records || proof.empty_tail != empty_tail) {
+    return false;
+  }
+  for (size_t i = 0; i < records; ++i) {
+    if (proof.boundary[i].LeafHash() != mirror_.Leaf(lo + i)) return false;
+  }
+  return mirror_.MatchesRangeProof(lo, records + (empty_tail ? 1 : 0),
+                                   proof.range);
 }
 
 void AdsDo::ApplyBatchLocal(const Batch& batch) {

@@ -8,7 +8,9 @@
 // absence proof for a new one), and only then do both sides apply the batch
 // and the roots get compared. A mirror tree of leaf hashes (not values)
 // makes the root recomputation a dirty-path splice without re-asking the SP
-// for sibling data.
+// for sibling data, and lets the DO check each pre-batch proof by comparing
+// the hashes it carries with the mirror's own nodes instead of recomputing
+// a root path per key.
 //
 // The DO also signs each epoch's root (sequence = epoch number) so stale or
 // forked roots replayed by the SP are rejected downstream.
@@ -32,17 +34,18 @@ class AdsDo {
   /// The verified update: applies `records` (arrival order, last write per
   /// key wins) on both sides. Every distinct key is first checked against
   /// the pre-batch root — sp.Get must return the record at the DO's index
-  /// with a verifying proof for an existing key, sp.ProveAbsent a verifying
-  /// absence proof for a new one — and any failure returns
+  /// with its audit path, sp.ProveAbsent the window the DO expects (the
+  /// neighbours or padding leaf around the key's insert position), each
+  /// record hashing to the mirror's leaf and each sibling or complement
+  /// hash equal to the mirror's node — and any failure returns
   /// kIntegrityViolation with neither side touched. Then each side rehashes
   /// dirty paths only (in-place leaf writes ahead of the first insert, a
-  /// suffix splice from it; a rebuild only when capacity grows) and the SP's
-  /// new root must equal the mirror's.
+  /// suffix splice from it, also across a capacity change) and the SP's new
+  /// root must equal the mirror's.
   Status VerifiedBatchPut(AdsSp& sp, const std::vector<FeedRecord>& records);
 
   /// Bootstrap load without SP round-trips (initial dataset): the batch
-  /// applied on both sides unverified. Into an empty DO it is one mirror
-  /// rebuild + one SP rebuild.
+  /// applied on both sides unverified, through the same splice.
   void BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records);
 
   Hash256 Root() const { return mirror_.Root(); }
@@ -66,6 +69,7 @@ class AdsDo {
   static Batch Dedup(const std::vector<FeedRecord>& records);
   size_t LowerBound(ByteSpan key) const;
   Status CheckSpHolds(const AdsSp& sp, const Batch& batch) const;
+  bool MatchesAbsenceWindow(size_t pos, const AbsenceProof& proof) const;
   void ApplyBatchLocal(const Batch& batch);
 
   MacSigner signer_;

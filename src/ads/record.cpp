@@ -1,23 +1,37 @@
 #include "ads/record.h"
 
+#include <array>
+
+#include "crypto/sha256.h"
+
 namespace grub::ads {
 
 namespace {
-void PutU32(Bytes& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
+std::array<uint8_t, 4> U32Le(size_t v) {
+  return {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8),
+          static_cast<uint8_t>(v >> 16), static_cast<uint8_t>(v >> 24)};
 }
 }  // namespace
+
+Hash256 FeedRecord::LeafHash() const {
+  // Byte for byte the leaf prefix 0x00 followed by Serialize().
+  const std::array<uint8_t, 2> head = {0x00, static_cast<uint8_t>(state)};
+  Sha256 h;
+  h.Update(head);
+  h.Update(U32Le(key.size()));
+  h.Update(key);
+  h.Update(U32Le(value.size()));
+  h.Update(value);
+  return h.Finish();
+}
 
 Bytes FeedRecord::Serialize() const {
   Bytes out;
   out.reserve(SerializedBytes());
   out.push_back(static_cast<uint8_t>(state));
-  PutU32(out, static_cast<uint32_t>(key.size()));
+  Append(out, U32Le(key.size()));
   Append(out, key);
-  PutU32(out, static_cast<uint32_t>(value.size()));
+  Append(out, U32Le(value.size()));
   Append(out, value);
   return out;
 }

@@ -37,8 +37,9 @@ struct FeedRecord {
   Bytes Serialize() const;
   static Result<FeedRecord> Deserialize(ByteSpan data);
 
-  /// Leaf hash over the canonical encoding (domain-separated).
-  Hash256 LeafHash() const { return MerkleTree::HashLeafData(Serialize()); }
+  /// Leaf hash over the canonical encoding (domain-separated):
+  /// MerkleTree::HashLeafData(Serialize()), streamed without the copy.
+  Hash256 LeafHash() const;
 
   /// Calldata footprint in bytes when shipped on chain.
   uint64_t SerializedBytes() const { return 1 + 4 + key.size() + 4 + value.size(); }

@@ -127,35 +127,20 @@ Result<AbsenceProof> AdsSp::ProveAbsent(ByteSpan key) const {
 
   AbsenceProof proof;
   proof.capacity = tree_.Capacity();
-
-  if (records_.empty()) {
-    // Prove leaf 0 is the empty marker; contiguity implies an empty store.
-    proof.empty_tail = true;
-    proof.lo = 0;
-    proof.range = tree_.ProveRange(0, 1);
-    return proof;
-  }
-
-  // Window: predecessor (if any) .. successor (or empty padding leaf).
-  const size_t window_lo = (pos == 0) ? 0 : pos - 1;
-  size_t window_len = 0;
-  if (pos > 0) {
-    proof.boundary.push_back(records_[pos - 1]);
-    window_len += 1;
-  }
+  // Window: predecessor (if any) .. successor, or the padding leaf after
+  // the last record when the tree has one: a full tree proves tail-absence
+  // by window position. An empty store proves leaf 0 is the padding
+  // marker; contiguity implies the store is empty.
+  proof.lo = (pos == 0) ? 0 : pos - 1;
+  if (pos > 0) proof.boundary.push_back(records_[pos - 1]);
   if (pos < records_.size()) {
     proof.boundary.push_back(records_[pos]);
-    window_len += 1;
   } else {
-    // Absent beyond the last record: include the padding leaf after it when
-    // the tree has one; a full tree proves tail-absence by window position.
-    if (records_.size() < tree_.Capacity()) {
-      proof.empty_tail = true;
-      window_len += 1;
-    }
+    proof.empty_tail = records_.size() < tree_.Capacity();
   }
-  proof.lo = window_lo;
-  proof.range = tree_.ProveRange(window_lo, window_len);
+  proof.range = tree_.ProveRange(
+      proof.lo, proof.boundary.size() + (proof.empty_tail ? 1 : 0));
+  if (absence_tamper_) absence_tamper_(proof);
   return proof;
 }
 

@@ -9,6 +9,7 @@
 // forge/omit/fork attacks so tests can confirm verification catches them.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -36,14 +37,14 @@ class AdsSp {
   /// wins — and persists every record. Returns the new root. Overwrites
   /// ahead of the first insert are in-place leaf writes; from the first
   /// insert on, the shifted tail is spliced in, reusing the tree's leaf
-  /// hashes for unchanged records, and only the dirty paths are rehashed (a
-  /// full rebuild only when capacity grows). Every received record is hashed
+  /// hashes for unchanged records, and only the dirty paths are rehashed,
+  /// also when capacity grows. Every received record is hashed
   /// by the SP itself. The final tree is the one a fresh tree over the merged
   /// records would build — same leaves, same capacity (bit_ceil).
   Result<Hash256> ApplyPutBatch(const std::vector<FeedRecord>& records);
 
-  /// Bootstrap load: ApplyPutBatch without the root hand-back (preload path;
-  /// into an empty SP it is one rebuild).
+  /// Bootstrap load: ApplyPutBatch without the root hand-back (preload
+  /// path).
   void BulkLoad(const std::vector<FeedRecord>& records) {
     (void)ApplyPutBatch(records);
   }
@@ -100,11 +101,17 @@ class AdsSp {
   /// Forges the stored value without touching the tree (proofs will not
   /// verify — forge detection).
   void TamperValueForTesting(ByteSpan key, ByteSpan forged_value);
-  /// Rebuilds the tree over forged data (fork attack — on-chain root pins
+  /// Rehashes the tree over forged data (fork attack — on-chain root pins
   /// the honest version, so delivered proofs fail against it).
   void ForkForTesting(ByteSpan key, ByteSpan forged_value);
+  /// Hands every absence proof to `tamper` before it is served (a Byzantine
+  /// SP reshaping the window); an empty function restores honest proofs.
+  void TamperAbsenceProofsForTesting(
+      std::function<void(AbsenceProof&)> tamper) {
+    absence_tamper_ = std::move(tamper);
+  }
   /// Drops a record from array, tree and store alike (omission attack): the
-  /// shifted tail is spliced in, a rebuild only when capacity shrinks.
+  /// shifted tail is spliced in, also when capacity halves.
   void OmitForTesting(ByteSpan key);
 
  private:
@@ -121,6 +128,7 @@ class AdsSp {
   MerkleTree tree_;
   std::unique_ptr<kv::KVStore> db_;
   std::map<Bytes, tier::StorageTier, BytesLess> advisory_;
+  std::function<void(AbsenceProof&)> absence_tamper_;
 };
 
 }  // namespace grub::ads

@@ -1,6 +1,7 @@
 #include "crypto/merkle.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -13,6 +14,21 @@ namespace {
 
 size_t CapacityFor(size_t n) {
   return n <= 1 ? 1 : std::bit_ceil(n);
+}
+
+/// Hash of an all-padding subtree `level` levels tall: the padding leaf is
+/// the constant EmptyLeaf(), so each level has one constant. Computed once
+/// per process.
+const Hash256& PaddingHash(size_t level) {
+  static const std::array<Hash256, 64> table = [] {
+    std::array<Hash256, 64> t{};
+    t[0] = MerkleTree::EmptyLeaf();
+    for (size_t i = 1; i < t.size(); ++i) {
+      t[i] = MerkleTree::HashNode(t[i - 1], t[i - 1]);
+    }
+    return t;
+  }();
+  return table[level];
 }
 
 }  // namespace
@@ -110,22 +126,29 @@ void MerkleTree::ReplaceSuffix(size_t first, std::span<const Hash256> suffix) {
   }
   const size_t old_count = leaf_count_;
   const size_t new_count = first + suffix.size();
-  if (CapacityFor(new_count) != Capacity()) {
-    std::vector<Hash256> leaves;
-    leaves.reserve(new_count);
-    leaves.insert(leaves.end(), levels_[0].begin(),
-                  levels_[0].begin() + static_cast<long>(first));
-    leaves.insert(leaves.end(), suffix.begin(), suffix.end());
-    Rebuild(std::move(leaves));
-    return;
-  }
+  const size_t capacity = CapacityFor(new_count);
+  if (capacity != Capacity()) Resize(capacity);
   auto& leaves = levels_[0];
   std::copy(suffix.begin(), suffix.end(),
             leaves.begin() + static_cast<long>(first));
-  // A shrinking suffix hands its freed slots back to padding.
-  for (size_t i = new_count; i < old_count; ++i) leaves[i] = EmptyLeaf();
+  // A shrinking suffix hands the freed slots the width keeps back to padding.
+  const size_t end = std::min(std::max(old_count, new_count), capacity);
+  for (size_t i = new_count; i < end; ++i) leaves[i] = EmptyLeaf();
   leaf_count_ = new_count;
-  RecomputeSpan(first, std::max(old_count, new_count));
+  RecomputeSpan(first, end);
+}
+
+void MerkleTree::Resize(size_t capacity) {
+  // Growing keeps the old tree as the leftmost subtree and fills every new
+  // slot with its level's padding hash; shrinking truncates each level and
+  // drops the top ones. Either way every node that does not meet the
+  // changed leaves is already right. Each new top level's node 0 spans the
+  // whole old tree, so the caller's RecomputeSpan always rehashes it.
+  const size_t depth = static_cast<size_t>(std::bit_width(capacity) - 1);
+  levels_.resize(depth + 1);
+  for (size_t level = 0; level <= depth; ++level) {
+    levels_[level].resize(capacity >> level, PaddingHash(level));
+  }
 }
 
 void MerkleTree::RecomputeSpan(size_t lo, size_t hi) {
@@ -158,6 +181,19 @@ MerkleProof MerkleTree::ProveLeaf(size_t index) const {
   return proof;
 }
 
+bool MerkleTree::MatchesLeafProof(size_t index,
+                                  const MerkleProof& proof) const {
+  if (index >= Capacity() || proof.siblings.size() + 1 != levels_.size()) {
+    return false;
+  }
+  size_t i = index;
+  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
+    if (proof.siblings[level] != levels_[level][i ^ 1]) return false;
+    i /= 2;
+  }
+  return true;
+}
+
 bool MerkleTree::VerifyLeaf(const Hash256& root, const Hash256& leaf,
                             size_t index, size_t capacity,
                             const MerkleProof& proof) {
@@ -178,16 +214,19 @@ bool MerkleTree::VerifyLeaf(const Hash256& root, const Hash256& leaf,
 
 namespace {
 
-// Shared recursion for building/consuming a range proof over the virtual
-// perfect tree. Nodes are identified by the half-open leaf interval [a, b).
-struct RangeProver {
+// Walks the maximal subtrees covering every leaf outside [lo, hi), in
+// pre-order, handing each one's stored hash to `visit` — the complement
+// ProveRange ships and MatchesRangeProof compares. Nodes are identified by
+// the half-open leaf interval [a, b).
+template <typename Visit>
+struct RangeCover {
   const std::vector<std::vector<Hash256>>& levels;
   size_t lo, hi;  // proven range [lo, hi)
-  std::vector<Hash256>& complement;
+  Visit& visit;
 
   void Walk(size_t level, size_t node, size_t a, size_t b) {
     if (b <= lo || a >= hi) {
-      complement.push_back(levels[level][node]);
+      visit(levels[level][node]);
       return;
     }
     if (b - a == 1) return;  // in-range leaf: verifier supplies it
@@ -338,10 +377,26 @@ MerkleRangeProof MerkleTree::ProveRange(size_t lo, size_t count) const {
     throw std::out_of_range("MerkleTree::ProveRange: range out of bounds");
   }
   MerkleRangeProof proof;
-  if (capacity == 1 && count == 1) return proof;  // whole tree is the range
-  RangeProver prover{levels_, lo, lo + count, proof.complement};
-  prover.Walk(levels_.size() - 1, 0, 0, capacity);
+  auto push = [&proof](const Hash256& h) { proof.complement.push_back(h); };
+  RangeCover<decltype(push)> cover{levels_, lo, lo + count, push};
+  cover.Walk(levels_.size() - 1, 0, 0, capacity);
   return proof;
+}
+
+bool MerkleTree::MatchesRangeProof(size_t lo, size_t count,
+                                   const MerkleRangeProof& proof) const {
+  const size_t capacity = Capacity();
+  if (lo > capacity || count > capacity - lo) return false;
+  size_t pos = 0;
+  bool same = true;
+  auto compare = [&](const Hash256& h) {
+    same = same && pos < proof.complement.size() &&
+           proof.complement[pos] == h;
+    ++pos;
+  };
+  RangeCover<decltype(compare)> cover{levels_, lo, lo + count, compare};
+  cover.Walk(levels_.size() - 1, 0, 0, capacity);
+  return same && pos == proof.complement.size();
 }
 
 bool MerkleTree::VerifyRange(const Hash256& root, size_t capacity, size_t lo,

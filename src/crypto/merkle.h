@@ -22,10 +22,11 @@
 // level by level, so shared ancestors cost one hash, not one per leaf) and
 // ReplaceSuffix (a sorted insert or a delete splices every leaf from the
 // first changed position onward; only the inner nodes whose span meets the
-// changed range are rehashed). Rebuild — every inner node rehashed — is left
-// for the first load, SP crash recovery and a capacity change (bit_ceil of
-// the leaf count moves), where the tree shape itself changes. Every path
-// yields the tree a fresh MerkleTree(leaves) would build, bit for bit.
+// changed range are rehashed, also when the capacity doubles or halves: an
+// all-padding subtree hashes to a per-level constant, so a resize needs no
+// hashing). Rebuild — every inner node rehashed — is left for the
+// constructor and SP crash recovery. Every path yields the tree a fresh
+// MerkleTree(leaves) would build, bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -94,16 +95,24 @@ class MerkleTree {
   void SetLeaves(std::span<const std::pair<size_t, Hash256>> updates);
 
   /// Replaces leaves [first, LeafCount()) with `suffix`, so the tree ends up
-  /// holding LeafCount() = first + suffix.size() leaves. While the capacity
-  /// rule (bit_ceil) keeps the width, only inner nodes whose span meets the
-  /// changed leaf range are rehashed; a capacity change falls back to
-  /// Rebuild. Throws std::out_of_range if first > LeafCount().
+  /// holding LeafCount() = first + suffix.size() leaves. Only inner nodes
+  /// whose span meets the changed leaf range are rehashed. When the capacity
+  /// rule (bit_ceil) moves the width, the levels are resized in place first
+  /// (new slots take the constant padding-subtree hash of their level), so
+  /// appending one leaf to a full 2^k tree hashes k + 1 nodes. Throws
+  /// std::out_of_range if first > LeafCount().
   void ReplaceSuffix(size_t first, std::span<const Hash256> suffix);
 
   /// Discards the structure and rebuilds from scratch.
   void Rebuild(std::vector<Hash256> leaves);
 
   MerkleProof ProveLeaf(size_t index) const;
+
+  /// True iff `proof` is exactly ProveLeaf(index): a const walk that
+  /// compares each sibling with this tree's node, with no hashing and no
+  /// allocation. A path that matches verifies against Root() given the
+  /// leaf at `index`; with collision resistance, only a matching one does.
+  bool MatchesLeafProof(size_t index, const MerkleProof& proof) const;
 
   /// Verifies an audit path. `leaf` must be the recomputed leaf hash;
   /// `capacity` the (power-of-two) leaf-level width the root was built over.
@@ -113,6 +122,11 @@ class MerkleTree {
   /// Proves leaves [lo, lo+count). count may be 0 (proves emptiness of
   /// nothing — complement covers the whole tree).
   MerkleRangeProof ProveRange(size_t lo, size_t count) const;
+
+  /// True iff `proof` is exactly ProveRange(lo, count), compared node by
+  /// node like MatchesLeafProof (false for an out-of-bounds range).
+  bool MatchesRangeProof(size_t lo, size_t count,
+                         const MerkleRangeProof& proof) const;
 
   /// Verifies that `leaves` are exactly the leaf hashes at [lo, lo+count)
   /// under `root`.
@@ -141,6 +155,10 @@ class MerkleTree {
  private:
   /// Rehashes every inner node whose leaf span meets [lo, hi).
   void RecomputeSpan(size_t lo, size_t hi);
+  /// Changes the leaf-level width to `capacity` (a power of two) without
+  /// hashing: kept nodes stay, new slots hold their level's padding hash.
+  /// The caller rehashes the span of the changed leaves.
+  void Resize(size_t capacity);
 
   // levels_[0] = leaves (padded); levels_.back() = single root entry.
   std::vector<std::vector<Hash256>> levels_;

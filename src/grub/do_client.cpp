@@ -169,7 +169,7 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
     StorageManagerContract::PreloadReplica(genesis, key, value, live);
     if (live) replicas_on_chain_.insert(key);
   }
-  // Bulk-load the forest: one rebuild per shard, no SP round-trips.
+  // Bulk-load the forest: one splice per shard, no SP round-trips.
   ads_do_.BulkLoad(sp_, feed_records);
   const std::vector<uint32_t> touched_shards = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = touched_shards.size();

@@ -136,7 +136,7 @@ class ShardedAdsDo {
                           const std::vector<ads::FeedRecord>& records);
 
   /// Bootstrap load: partitions records by shard and bulk-loads each side
-  /// with one rebuild per shard (no SP round-trips, no quadratic preload).
+  /// with one splice per shard (no SP round-trips, no quadratic preload).
   void BulkLoad(ShardedAdsSp& sp, const std::vector<ads::FeedRecord>& records);
 
   Hash256 ShardRoot(size_t s) const { return dos_[s].Root(); }

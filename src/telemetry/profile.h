@@ -1,9 +1,10 @@
 // Hot-path profiling probes: scoped nanosecond counters on primitive code
 // paths (SHA-256 digests and compressions, deliver codec, kvstore get/put)
-// plus a count of full Merkle rebuilds, which the incremental recompute
-// should keep rare (first load, SP crash recovery, a capacity change). Each
-// site exports count / total / max nanoseconds. They name primitives, not
-// pipeline stages; stage-level sites are ROADMAP item 5.
+// plus a count of full Merkle rebuilds. A rebuild runs only when a tree is
+// built from a leaf list (its constructor, SP crash recovery); every batch,
+// capacity changes included, rehashes dirty paths only, so the count reads 0
+// on a running feed. Each site exports count / total / max nanoseconds. They
+// name primitives, not pipeline stages; stage-level sites are ROADMAP item 5.
 //
 // Usage at a site:
 //

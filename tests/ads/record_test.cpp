@@ -38,6 +38,21 @@ TEST(FeedRecord, LeafHashBindsAllFields) {
   EXPECT_NE(base.LeafHash(), other_state.LeafHash());
 }
 
+TEST(FeedRecord, LeafHashIsTheLeafHashOfTheEncoding) {
+  // LeafHash streams the encoding instead of building it; the digest must
+  // be the one MerkleTree::HashLeafData gives the serialized bytes, across
+  // block boundaries of the streamed pieces.
+  for (size_t key_len : {0u, 1u, 27u, 64u}) {
+    for (size_t value_len : {0u, 32u, 55u, 56u, 80u, 1000u}) {
+      for (ReplState state : {ReplState::kNR, ReplState::kR}) {
+        FeedRecord r{Bytes(key_len, 0x4B), Bytes(value_len, 0x56), state};
+        EXPECT_EQ(r.LeafHash(), MerkleTree::HashLeafData(r.Serialize()))
+            << key_len << " " << value_len;
+      }
+    }
+  }
+}
+
 TEST(FeedRecord, KeyValueBoundaryUnambiguous) {
   // ("ab", "c") and ("a", "bc") must hash differently (length prefixes).
   FeedRecord a{ToBytes("ab"), ToBytes("c"), ReplState::kNR};

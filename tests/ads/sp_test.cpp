@@ -101,6 +101,34 @@ TEST(AdsSp, OmitSpliceMatchesFreshLoad) {
   }
 }
 
+TEST(AdsSp, OmitAcrossCapacityHalvingMatchesFreshTree) {
+  // 2^k + 1 -> 2^k records: the omission's splice halves the capacity (the
+  // levels shrink in place, no rebuild) and lands on the tree a fresh load
+  // of the survivors builds, wherever the omitted record sat.
+  const uint64_t n = (uint64_t{1} << 10) + 1;
+  for (uint64_t victim : {uint64_t{0}, n / 2, n - 1}) {
+    SCOPED_TRACE(victim);
+    std::vector<FeedRecord> records, survivors;
+    for (uint64_t i = 0; i < n; ++i) {
+      records.push_back(Rec(i, "v"));
+      if (i != victim) survivors.push_back(records.back());
+    }
+    AdsSp sp;
+    sp.BulkLoad(records);
+    ASSERT_EQ(sp.Capacity(), 2048u);
+    sp.OmitForTesting(MakeKey(victim));
+    AdsSp fresh;
+    fresh.BulkLoad(survivors);
+    EXPECT_EQ(sp.Capacity(), 1024u);
+    EXPECT_EQ(sp.Root(), fresh.Root());
+    for (uint64_t i : {uint64_t{1}, n / 2 + 1, n - 2}) {
+      auto proof = sp.Get(MakeKey(i));
+      ASSERT_TRUE(proof.ok());
+      EXPECT_TRUE(VerifyQuery(fresh.Root(), *proof)) << i;
+    }
+  }
+}
+
 TEST(AdsSp, AbsenceProofsAtEveryPosition) {
   AdsSp sp;
   // Keys 10, 20, 30: probe below, between each pair, and above.

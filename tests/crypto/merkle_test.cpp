@@ -270,6 +270,58 @@ TEST(MerkleBatch, BadIndicesThrowWithoutWriting) {
   ExpectSameAsFresh(tree, leaves);
 }
 
+TEST_P(MerkleProofTest, MatchesOnlyItsOwnProofs) {
+  // MatchesLeafProof / MatchesRangeProof accept exactly what ProveLeaf /
+  // ProveRange build, and reject a tampered, truncated or padded proof and
+  // one from a tree with a single other leaf.
+  const size_t n = GetParam();
+  auto leaves = MakeLeaves(n);
+  MerkleTree tree(leaves);
+  auto other_leaves = leaves;
+  other_leaves[n / 2] = Hash256::FromU64(424242);
+  MerkleTree other(other_leaves);
+  for (size_t i = 0; i < n; ++i) {
+    auto path = tree.ProveLeaf(i);
+    EXPECT_TRUE(tree.MatchesLeafProof(i, path)) << i;
+    if (!path.siblings.empty()) {
+      auto tampered = path;
+      tampered.siblings.back().bytes[0] ^= 1;
+      EXPECT_FALSE(tree.MatchesLeafProof(i, tampered)) << i;
+      tampered = path;
+      tampered.siblings.pop_back();
+      EXPECT_FALSE(tree.MatchesLeafProof(i, tampered)) << i;
+    }
+    auto padded = path;
+    padded.siblings.push_back(Hash256{});
+    EXPECT_FALSE(tree.MatchesLeafProof(i, padded)) << i;
+    // Every other leaf's path has a sibling over the changed leaf.
+    if (i != n / 2) {
+      EXPECT_FALSE(tree.MatchesLeafProof(i, other.ProveLeaf(i))) << i;
+    }
+  }
+  for (size_t lo = 0; lo < n; ++lo) {
+    for (size_t count = 0; count <= n - lo; ++count) {
+      auto range = tree.ProveRange(lo, count);
+      EXPECT_TRUE(tree.MatchesRangeProof(lo, count, range))
+          << "[" << lo << ", " << lo + count << ")";
+      for (size_t j = 0; j < range.complement.size(); ++j) {
+        auto tampered = range;
+        tampered.complement[j].bytes[31] ^= 0x80;
+        EXPECT_FALSE(tree.MatchesRangeProof(lo, count, tampered));
+      }
+      auto padded = range;
+      padded.complement.push_back(Hash256{});
+      EXPECT_FALSE(tree.MatchesRangeProof(lo, count, padded));
+      // The complement misses the changed leaf only when the range holds it.
+      const bool holds_change = lo <= n / 2 && n / 2 < lo + count;
+      EXPECT_EQ(tree.MatchesRangeProof(lo, count, other.ProveRange(lo, count)),
+                holds_change)
+          << "[" << lo << ", " << lo + count << ")";
+    }
+  }
+  EXPECT_FALSE(tree.MatchesRangeProof(tree.Capacity(), 1, {}));
+}
+
 #if GRUB_TELEMETRY
 TEST(MerkleBatch, CapacityPreservingBatchesNeverRebuild) {
   auto leaves = MakeLeaves(10);
@@ -295,11 +347,52 @@ TEST(MerkleBatch, CapacityPreservingBatchesNeverRebuild) {
   const auto rebuild =
       static_cast<size_t>(telemetry::ProbeSite::kMerkleRebuild);
   EXPECT_EQ(kept[rebuild].count, 0u);
-  EXPECT_EQ(grown[rebuild].count, 1u);
+  // A doubling resizes the levels in place: no rebuild either.
+  EXPECT_EQ(grown[rebuild].count, 0u);
+  std::vector<Hash256> grown_leaves(leaves.begin(), leaves.begin() + 4);
+  grown_leaves[0] = Hash256::FromU64(1);
+  grown_leaves.insert(grown_leaves.end(), suffix.begin(), suffix.end());
+  ExpectSameAsFresh(tree, grown_leaves);
   std::vector<Hash256> expected(leaves.begin(), leaves.begin() + 4);
   expected[0] = Hash256::FromU64(1);
   expected.insert(expected.end(), shrunk.begin(), shrunk.end());
   EXPECT_EQ(shrunk_root, MerkleTree(expected).Root());
+}
+
+TEST(MerkleBatch, AppendToFullTreeHashesOnePath) {
+  // Appending one leaf to a full 2^k tree doubles the capacity. The old tree
+  // becomes the left half unchanged and the new right half is padding plus
+  // the new leaf, so exactly the k + 1 nodes on the new leaf's path are
+  // hashed, two SHA-256 compressions each. A rebuild hashed all
+  // 2^(k+1) - 1 nodes.
+  {
+    // The per-level padding hashes are computed once per process, by the
+    // first resize; pay for them here, outside the count.
+    MerkleTree warm(MakeLeaves(1));
+    const Hash256 leaf = Hash256::FromU64(7);
+    warm.ReplaceSuffix(1, {&leaf, 1});
+  }
+  const auto count = [](telemetry::ProbeSite site) {
+    return telemetry::ProfileRegistry::Snapshot()[static_cast<size_t>(site)]
+        .count;
+  };
+  for (size_t k : {10u, 16u}) {
+    SCOPED_TRACE(k);
+    auto leaves = MakeLeaves(size_t{1} << k);
+    MerkleTree tree(leaves);
+    const Hash256 extra = Hash256::FromU64(99);
+    telemetry::ProfileRegistry::Reset();
+    telemetry::ProfileRegistry::Enable(true);
+    tree.ReplaceSuffix(leaves.size(), {&extra, 1});
+    const uint64_t blocks = count(telemetry::ProbeSite::kSha256Block);
+    const uint64_t rebuilds = count(telemetry::ProbeSite::kMerkleRebuild);
+    telemetry::ProfileRegistry::Enable(false);
+    EXPECT_EQ(blocks, 2 * (k + 1));
+    EXPECT_EQ(rebuilds, 0u);
+    leaves.push_back(extra);
+    EXPECT_EQ(tree.Capacity(), size_t{2} << k);
+    EXPECT_EQ(tree.Root(), MerkleTree(leaves).Root());
+  }
 }
 #endif
 

@@ -274,8 +274,9 @@ TEST(Forest, TamperedRecordRejectedWhenServedAfterIncrementalBatch) {
 
 #if GRUB_TELEMETRY
 TEST(Forest, IncrementalBatchesRebuildNoTree) {
-  // After the bootstrap load, batches that keep each shard's capacity touch
-  // dirty paths only; the one doubling batch rebuilds once per side.
+  // After the bootstrap load, every batch touches dirty paths only — also
+  // the one that doubles the shard's capacity, which resizes the tree in
+  // place on both sides instead of rebuilding it.
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   std::vector<ads::FeedRecord> records;
@@ -295,7 +296,20 @@ TEST(Forest, IncrementalBatchesRebuildNoTree) {
   const uint64_t doubled = rebuilds();
   telemetry::ProfileRegistry::Enable(false);
   EXPECT_EQ(in_place, 0u);
-  EXPECT_EQ(doubled, 2u);  // 17 records: capacity 16 -> 32, DO + SP
+  EXPECT_EQ(doubled, 0u);  // 17 records: capacity 16 -> 32, DO + SP
+  // Both sides hold the tree a fresh load of the final records builds (a
+  // load keeps the last write per key).
+  records.insert(records.end(),
+                 {Rec(30, "o"), Rec(26, "o"), Rec(40, "i"), Rec(31, "o"),
+                  Rec(41, "i"), Rec(42, "i"), Rec(43, "i"), Rec(44, "i")});
+  ShardedAdsSp fresh_sp(FourWay());
+  ShardedAdsDo fresh_do(FourWay(), ToBytes("key"));
+  fresh_do.BulkLoad(fresh_sp, records);
+  EXPECT_EQ(sp.Shard(1).Capacity(), 32u);
+  for (size_t s = 0; s < sp.ShardCount(); ++s) {
+    EXPECT_EQ(ads_do.ShardRoot(s), fresh_do.ShardRoot(s)) << "shard " << s;
+    EXPECT_EQ(sp.ShardRoot(s), fresh_do.ShardRoot(s)) << "shard " << s;
+  }
 }
 #endif
 
